@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
           }
           ok.fetch_add(1, std::memory_order_relaxed);
           kjoin::serve::QueryRequest local;
-          local.query = reference.prepared.builder->Build(-1, tokens);
+          local.query = reference.prepared.builder->BuildQuery(-1, tokens);
           if (*topk > 0) local.top_k = static_cast<int32_t>(*topk);
           const kjoin::serve::QueryResponse expected = reference.router->Search(local);
           bool identical = expected.status.ok() && got->hits.size() == expected.hits.size();
@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
     for (int64_t i = 0; i < total; ++i) {
       std::vector<std::string> tokens = data.dataset.records[(i * 97) % *n].tokens;
       if (!tokens.empty()) tokens.pop_back();
-      requests[i].query = builder->Build(-1, tokens);
+      requests[i].query = builder->BuildQuery(-1, tokens);
       requests[i].top_k = static_cast<int32_t>(*topk);
     }
 
@@ -475,14 +475,14 @@ int main(int argc, char** argv) {
   service_options.default_deadline_seconds = *deadline;
   kjoin::serve::SearchService service(manager.get(), &pool, service_options, &metrics);
 
-  // Queries are perturbed copies of indexed records; the builder is not
-  // thread-safe, so all query objects are built up front.
+  // Queries are perturbed copies of indexed records, all built up front
+  // through the builder's read path.
   const int64_t total = *clients * *queries;
   std::vector<kjoin::serve::QueryRequest> requests(total);
   for (int64_t i = 0; i < total; ++i) {
     std::vector<std::string> tokens = data.dataset.records[(i * 97) % *n].tokens;
     if (!tokens.empty()) tokens.pop_back();
-    requests[i].query = builder->Build(-1, tokens);
+    requests[i].query = builder->BuildQuery(-1, tokens);
     requests[i].top_k = static_cast<int32_t>(*topk);
   }
 

@@ -19,6 +19,15 @@
 
 namespace kjoin {
 
+// Token ids at or above this are ephemeral: ObjectBuilder::BuildQuery
+// numbers the query tokens its dictionary does not hold from here, per
+// query. Interned ids stay below it, so the two never collide, and an
+// ephemeral id means nothing outside the one query object carrying it.
+inline constexpr int32_t kFirstEphemeralTokenId = int32_t{1} << 30;
+
+// True for ids the ObjectBuilder interned (stable across objects).
+inline bool IsInternedTokenId(int32_t id) { return id >= 0 && id < kFirstEphemeralTokenId; }
+
 // One (node, confidence) mapping of an element.
 struct ElementMapping {
   NodeId node = kInvalidNode;
@@ -31,7 +40,9 @@ struct Element {
   // Normalized surface form.
   std::string token;
   // Dense id of `token` from the ObjectBuilder's interner; identical
-  // tokens (across both join sides) share an id.
+  // tokens (across both join sides) share an id. Query objects built
+  // read-only carry ephemeral ids (kFirstEphemeralTokenId and up) for
+  // tokens the builder never interned.
   int32_t token_id = -1;
   // Candidate nodes, sorted by phi descending. Empty when unmatched.
   std::vector<ElementMapping> mappings;

@@ -75,7 +75,9 @@ double ElementSimilarity::Sim(const Element& x, const Element& y) const {
     // mappings — is a pure function of the token-id pair (ObjectBuilder
     // interning: equal ids ⇒ equal mapping sets), so the whole loop
     // collapses to one probe on a hit. Either way the cached value is
-    // bit-identical to what SimUncached would return.
+    // bit-identical to what SimUncached would return. Ephemeral ids are
+    // per-query (the same id names different tokens in different
+    // queries), so they never key the cache.
     if (x.mappings.size() == 1 && y.mappings.size() == 1 && x.mappings[0].phi == 1.0 &&
         y.mappings[0].phi == 1.0) {
       const NodeId nx = x.mappings[0].node;
@@ -83,7 +85,7 @@ double ElementSimilarity::Sim(const Element& x, const Element& y) const {
       if (nx == ny) return 1.0;
       return cache_->GetOrCompute(nx, ny, [&] { return NodeSimUncached(nx, ny); });
     }
-    if (x.token_id >= 0 && y.token_id >= 0) {
+    if (IsInternedTokenId(x.token_id) && IsInternedTokenId(y.token_id)) {
       return cache_->GetOrComputeKey(SimCache::TokenKey(x.token_id, y.token_id),
                                      [&] { return SimUncached(x, y); });
     }

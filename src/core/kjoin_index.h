@@ -170,9 +170,11 @@ class KJoinIndex {
              RestoredParts parts);
 
   // Delta layer: an initially-empty index over `base` (which must no
-  // longer be mutated). Shares the base's hierarchy, options and LCA
-  // tables; Insert/DeleteObject touch only this layer, searches see the
-  // whole chain. Object indexes continue the base's numbering.
+  // longer be mutated). Shares the base's hierarchy, options, LCA tables
+  // and SimCache (every layer's objects come from one ObjectBuilder, so
+  // token-keyed entries mean the same in all of them); Insert/DeleteObject
+  // touch only this layer, searches see the whole chain. Object indexes
+  // continue the base's numbering.
   explicit KJoinIndex(std::shared_ptr<const KJoinIndex> base);
 
   // Appends one object; it becomes immediately searchable. Returns its
@@ -272,6 +274,9 @@ class KJoinIndex {
   // flat base otherwise.
   int delta_depth() const { return depth_; }
   const std::shared_ptr<const KJoinIndex>& base() const { return base_; }
+  // The pair-similarity cache this layer verifies through (null when
+  // options().sim_cache is off); a delta layer reports its base's.
+  const SimCache* sim_cache() const { return sim_cache_.get(); }
 
   // Collapses the chain into flat parts: the full object collection
   // (dead objects kept in place so indexes stay stable), merged postings
@@ -371,8 +376,8 @@ class KJoinIndex {
   // Shared so snapshot restores and epoch clones reuse one table.
   std::shared_ptr<const LcaIndex> lca_;
   // Declared before element_sim_, which captures the raw pointer (null
-  // when options_.sim_cache is off).
-  std::unique_ptr<SimCache> sim_cache_;
+  // when options_.sim_cache is off). Shared down a delta chain.
+  std::shared_ptr<SimCache> sim_cache_;
   ElementSimilarity element_sim_;
   SignatureGenerator signatures_;
   ObjectSimilarity object_sim_;

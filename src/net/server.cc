@@ -22,6 +22,13 @@
 namespace kjoin::net {
 namespace {
 
+// A connection with this many requests in flight dispatches no further
+// frames (they wait in its decoder, and it stops reading) until one
+// completes. A pipelining client thus paces itself against the router,
+// in request order, instead of overrunning the router's admission cap
+// (64 by default) and having the excess shed.
+constexpr int kMaxPendingPerConnection = 32;
+
 void Inc(Counter* counter, int64_t n = 1) {
   if (counter != nullptr) counter->Increment(n);
 }
@@ -100,6 +107,13 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
     --pending_;
     if (closed_) return;
     QueueFrame(std::move(frame));
+    // Frames held at the pending cap were already read: dispatch them
+    // even while draining. pending_ > 0 here, so QueueFrame's drain
+    // check cannot have closed the connection with frames still held.
+    if (holding_ && !closed_ && pending_ < kMaxPendingPerConnection) {
+      holding_ = false;
+      if (DrainFrames()) UpdateInterest();
+    }
   }
 
   // Loop thread: encode-and-send for responses produced inline.
@@ -149,7 +163,7 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
         decoder_.Append(buf, static_cast<size_t>(n));
         if (!DrainFrames()) return;
         if (static_cast<size_t>(n) < sizeof(buf)) break;  // short read: drained
-        if (!want_read_ || read_stalled_) break;          // backpressure tripped
+        if (!want_read_ || read_stalled_ || holding_) break;  // backpressure tripped
         continue;
       }
       if (n == 0) {  // peer closed
@@ -163,10 +177,16 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
     }
   }
 
-  // Hands every completed frame to the server. False when the
+  // Hands completed frames to the server, holding the rest once
+  // kMaxPendingPerConnection requests are in flight. False when the
   // connection died (framing violation or dispatch closed it).
   bool DrainFrames() {
     while (true) {
+      if (pending_ >= kMaxPendingPerConnection) {
+        holding_ = true;
+        UpdateInterest();
+        return true;
+      }
       std::string payload;
       StatusOr<bool> got = decoder_.Next(&payload);
       if (!got.ok()) {
@@ -254,7 +274,7 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
   void UpdateInterest() {
     if (closed_) return;
     uint32_t events = 0;
-    if (want_read_ && !read_stalled_) events |= EPOLLIN;
+    if (want_read_ && !read_stalled_ && !holding_) events |= EPOLLIN;
     if (!write_buffer_empty()) events |= EPOLLOUT;
     if (events == interest_) return;
     interest_ = events;
@@ -270,6 +290,7 @@ class Connection : public EventHandler, public std::enable_shared_from_this<Conn
   uint32_t interest_ = EPOLLIN;
   bool want_read_ = true;
   bool read_stalled_ = false;  // backpressure: EPOLLIN dropped
+  bool holding_ = false;       // frames held at the pending cap
   bool closed_ = false;
   int pending_ = 0;  // dispatched requests whose responses are owed
   std::chrono::steady_clock::time_point last_activity_;
@@ -341,6 +362,7 @@ KJoinServer::KJoinServer(serve::ShardRouter* router, serve::ShardedIndexManager*
     backpressure_stalls_ = metrics_->counter("net.backpressure_stalls");
     idle_closed_ = metrics_->counter("net.idle_closed");
     requests_ = metrics_->counter("net.requests");
+    search_rebuilds_ = metrics_->counter("net.search_rebuilds");
   }
 }
 
@@ -556,27 +578,49 @@ void KJoinServer::HandleRequest(const std::shared_ptr<Connection>& connection,
 
 void KJoinServer::SubmitSearch(const std::shared_ptr<Connection>& connection,
                                NetRequest request) {
+  connection->BeginPending();
+  DispatchSearch(connection->loop(), connection,
+                 std::make_shared<const NetRequest>(std::move(request)));
+}
+
+void KJoinServer::DispatchSearch(EventLoop* loop, std::weak_ptr<Connection> weak,
+                                 std::shared_ptr<const NetRequest> request) {
   serve::QueryRequest query;
-  {
-    // Build() interns unseen tokens — every builder access serializes.
-    std::lock_guard<std::mutex> lock(builder_mu_);
-    query.query = builder_->Build(0, request.query_tokens);
+  // Read-only build: no lock, nothing interned (see the header comment).
+  query.query = builder_->BuildQuery(0, request->query_tokens);
+  std::vector<std::string> novel;
+  for (const Element& element : query.query.elements) {
+    if (!IsInternedTokenId(element.token_id)) novel.push_back(element.token);
   }
-  query.top_k = request.kind == RequestKind::kTopK ? request.top_k : 0;
-  query.min_similarity = request.min_similarity;
+  query.top_k = request->kind == RequestKind::kTopK ? request->top_k : 0;
+  query.min_similarity = request->min_similarity;
   // Wire deadline 0 = none; the router treats < 0 as "apply default",
   // and its default is none unless configured.
   query.deadline_seconds =
-      request.deadline_ms == 0 ? -1.0 : static_cast<double>(request.deadline_ms) / 1e3;
+      request->deadline_ms == 0 ? -1.0 : static_cast<double>(request->deadline_ms) / 1e3;
 
-  connection->BeginPending();
-  const uint64_t id = request.id;
-  EventLoop* loop = connection->loop();
-  std::weak_ptr<Connection> weak = connection;
-  router_->Submit(std::move(query), [id, loop, weak](serve::QueryResponse response) {
-    // Router dispatcher thread: encode here (off the event loop), then
-    // hop the finished frame to the connection's loop.
-    NetResponse net_response = ResponseFromStatus(id, response.status);
+  const ObjectBuilder* builder = builder_;
+  router_->Submit(std::move(query), [this, builder, loop, weak, request,
+                                     novel = std::move(novel)](serve::QueryResponse response) {
+    // Router dispatcher thread. The writer interns a batch's tokens
+    // before it publishes the batch, so a token still unknown here was
+    // unknown to every epoch the probe read. One interned since the
+    // build may have met the probe under its real id while the query
+    // carried an ephemeral one: build again against the newer dictionary.
+    if (response.status.ok()) {
+      for (const std::string& token : novel) {
+        if (builder->TokenId(token) < 0) continue;
+        loop->RunInLoop([this, loop, weak, request]() {
+          if (weak.expired()) return;
+          Inc(search_rebuilds_);
+          DispatchSearch(loop, weak, request);
+        });
+        return;
+      }
+    }
+    // Encode here (off the event loop), then hop the finished frame to
+    // the connection's loop.
+    NetResponse net_response = ResponseFromStatus(request->id, response.status);
     net_response.hits = std::move(response.hits);
     net_response.epoch_version = response.epoch_version;
     std::string frame = WrapFrame(EncodeResponsePayload(net_response));
@@ -615,18 +659,16 @@ void KJoinServer::WriterLoop() {
 }
 
 NetResponse KJoinServer::HandleInsert(const NetRequest& request) {
+  // Writer thread: the builder's only writer. Build interns the batch's
+  // new tokens before InsertBatch publishes the batch — the
+  // dictionary-before-index order DispatchSearch relies on — and the
+  // table snapshot covers every token id the batch uses.
   std::vector<Object> objects;
-  std::vector<std::string> tokens;
-  {
-    // One lock hold across the builds and the table snapshot, so the
-    // snapshot covers every token id the batch uses.
-    std::lock_guard<std::mutex> lock(builder_mu_);
-    objects.reserve(request.inserts.size());
-    for (const InsertRecord& record : request.inserts) {
-      objects.push_back(builder_->Build(record.external_id, record.tokens));
-    }
-    tokens = builder_->TokenTable();
+  objects.reserve(request.inserts.size());
+  for (const InsertRecord& record : request.inserts) {
+    objects.push_back(builder_->Build(record.external_id, record.tokens));
   }
+  std::vector<std::string> tokens = builder_->TokenTable();
   const Status status = manager_->InsertBatch(std::move(objects), std::move(tokens));
   NetResponse response = ResponseFromStatus(request.id, status);
   if (status.ok()) response.objects_after_insert = manager_->num_objects();

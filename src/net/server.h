@@ -17,10 +17,21 @@
 //     them (ObjectBuilder interning + the manager's numbering contract
 //     both want ordered mutations) and keeps WAL fsyncs off the event
 //     loops.
-//   * Every ObjectBuilder access — query decode on loop threads, insert
-//     builds on the writer — holds builder_mu_: Build() interns new
-//     tokens, and the token table snapshot passed to InsertBatch must
-//     cover every id the batch uses.
+//   * Query builds run on the loop threads through the read-only
+//     ObjectBuilder::BuildQuery, with no lock: known tokens copy the
+//     mappings stored when they were interned, novel ones are matched on
+//     the spot under ephemeral ids, and nothing is interned. The writer
+//     thread is the builder's only writer, so no lock guards it: insert
+//     builds and the token table snapshot handed to InsertBatch run
+//     there, in order.
+//   * Invariant: a read resolves against a dictionary at least as new as
+//     the index epoch it probes. Otherwise a token the epoch indexes
+//     would carry an ephemeral id in the query, its token signature and
+//     exact-token bounds would not line up, and a candidate could be
+//     missed. The writer interns a batch's tokens before InsertBatch
+//     publishes it; when a search returns, the server looks its novel
+//     tokens up again, and if any has been interned meanwhile it builds
+//     and submits the query again (net.search_rebuilds counts these).
 //
 // Backpressure: when a connection's write buffer exceeds
 // write_buffer_cap_bytes the server stops reading from it (drops
@@ -83,9 +94,8 @@ class KJoinServer {
   // All pointers are borrowed and must outlive the server. `manager`
   // may be null (a search-only server: INSERT/DELETE answer
   // kUnavailable); `metrics` may be null. `builder` is the server's
-  // token authority — queries and inserts intern through it under the
-  // server's lock, so the caller must not use it concurrently while the
-  // server runs.
+  // token authority — inserts intern through it on the writer thread,
+  // so the caller must not use its write path while the server runs.
   KJoinServer(serve::ShardRouter* router, serve::ShardedIndexManager* manager,
               ObjectBuilder* builder, MetricsRegistry* metrics, ServerOptions options = {});
   ~KJoinServer();
@@ -122,6 +132,10 @@ class KJoinServer {
   // Request dispatch (called from loop threads via Connection).
   void HandleRequest(const std::shared_ptr<Connection>& connection, NetRequest request);
   void SubmitSearch(const std::shared_ptr<Connection>& connection, NetRequest request);
+  // Builds `request`'s query and submits it to the router; called again
+  // when the dictionary moved under the probe (see the header comment).
+  void DispatchSearch(EventLoop* loop, std::weak_ptr<Connection> weak,
+                      std::shared_ptr<const NetRequest> request);
   void WriterLoop();
 
   NetResponse HandleInsert(const NetRequest& request);
@@ -134,9 +148,6 @@ class KJoinServer {
   ObjectBuilder* builder_;
   MetricsRegistry* metrics_;
   ServerOptions options_;
-
-  // Guards every ObjectBuilder access (see the header comment).
-  std::mutex builder_mu_;
 
   std::vector<std::unique_ptr<LoopContext>> loops_;
   int port_ = 0;
@@ -168,6 +179,7 @@ class KJoinServer {
   Counter* backpressure_stalls_ = nullptr;
   Counter* idle_closed_ = nullptr;
   Counter* requests_ = nullptr;
+  Counter* search_rebuilds_ = nullptr;
 };
 
 }  // namespace kjoin::net

@@ -1,6 +1,7 @@
 #include "text/entity_matcher.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <unordered_map>
 
@@ -44,10 +45,21 @@ EntityMatcher::EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions op
   }
   std::sort(entries_.begin(), entries_.end(),
             [](const LabelEntry& a, const LabelEntry& b) { return a.normalized < b.normalized; });
+  if (options_.enable_approximate) {
+    std::vector<std::string> labels;
+    labels.reserve(entries_.size());
+    for (const LabelEntry& entry : entries_) {
+      labels.push_back(entry.normalized);
+      longest_label_ = std::max(longest_label_, static_cast<int>(entry.normalized.size()));
+    }
+    approx_index_ = std::make_unique<const QGramIndex>(std::move(labels), options_.qgram_q);
+  }
 }
 
 int EntityMatcher::AddSynonym(std::string_view alias, std::string_view node_label) {
-  KJOIN_CHECK(approx_index_ == nullptr) << "register synonyms before the first lookup";
+  KJOIN_CHECK(!frozen_.load(std::memory_order_relaxed))
+      << "register synonyms before the first lookup: token mappings stored from earlier "
+         "lookups would go stale";
   const std::string normalized_alias = NormalizeLabel(alias);
   const int32_t entry = FindEntry(NormalizeLabel(node_label));
   if (entry < 0 || normalized_alias.empty()) return 0;
@@ -72,15 +84,13 @@ int32_t EntityMatcher::FindEntry(std::string_view normalized) const {
   return static_cast<int32_t>(it - entries_.begin());
 }
 
-void EntityMatcher::EnsureApproxIndex() const {
-  if (approx_index_ != nullptr) return;
-  std::vector<std::string> labels;
-  labels.reserve(entries_.size());
-  for (const LabelEntry& entry : entries_) labels.push_back(entry.normalized);
-  approx_index_ = std::make_unique<QGramIndex>(std::move(labels), options_.qgram_q);
+void EntityMatcher::Freeze() const {
+  // Load first: once frozen, lookups from many threads only read the flag.
+  if (!frozen_.load(std::memory_order_relaxed)) frozen_.store(true, std::memory_order_relaxed);
 }
 
 std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const {
+  Freeze();
   const std::string normalized = NormalizeLabel(token);
   if (normalized.empty()) return std::nullopt;
   const int32_t entry = FindEntry(normalized);
@@ -94,6 +104,7 @@ std::optional<EntityMatch> EntityMatcher::MatchOne(std::string_view token) const
 }
 
 std::vector<EntityMatch> EntityMatcher::MatchAll(std::string_view token) const {
+  Freeze();
   std::vector<EntityMatch> matches;
   const std::string normalized = NormalizeLabel(token);
   if (normalized.empty()) return matches;
@@ -118,19 +129,16 @@ std::vector<EntityMatch> EntityMatcher::MatchAll(std::string_view token) const {
     for (NodeId node : it->second) add(node, 1.0);
   }
 
-  if (options_.enable_approximate) {
-    EnsureApproxIndex();
-    const int max_len = static_cast<int>(normalized.size());
-    // φ >= min_phi constrains errors relative to the longer string; use
-    // the query-side length plus that budget as the longest admissible
-    // label, then verify φ per candidate.
-    int budget = MaxEditErrors(max_len, options_.min_phi);
-    // Longer labels allow more absolute errors; widen until stable.
-    for (int iter = 0; iter < 4; ++iter) {
-      const int next = MaxEditErrors(max_len + budget, options_.min_phi);
-      if (next == budget) break;
-      budget = next;
-    }
+  if (approx_index_ != nullptr) {
+    // A label of length L reaches φ = 1 − ED / max(n, L) >= p only if
+    // ED <= (1 − p)·max(n, L), and L <= n + ED, so only if
+    // ED <= (1 − p)·n / p (tight at L = n + ED). ED never exceeds
+    // max(n, L) whatever p is. The slack only adds candidates; φ is
+    // checked per candidate below.
+    const int n = static_cast<int>(normalized.size());
+    const double p = options_.min_phi;
+    int budget = std::max(n, longest_label_);
+    if (p > 0.0) budget = std::min(budget, static_cast<int>(std::floor((1.0 - p) * n / p + 1e-9)));
     for (int32_t id : approx_index_->SearchWithinDistance(normalized, budget)) {
       const LabelEntry& candidate = entries_[id];
       if (candidate.normalized == normalized) continue;  // already exact

@@ -14,6 +14,7 @@
 // Tokens that match nothing are still elements (they can only match an
 // identical token on the other side).
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,13 +49,20 @@ struct EntityMatcherOptions {
 
 class EntityMatcher {
  public:
-  // Indexes every node label except the root. Labels are normalized to
-  // lower-case alphanumerics for lookup. The hierarchy must outlive the
-  // matcher. Call AddSynonym before the first Match* call.
+  // Indexes every node label except the root, and builds the q-gram
+  // index over them when approximate matching is on. Labels are
+  // normalized to lower-case alphanumerics for lookup. The hierarchy must
+  // outlive the matcher.
+  //
+  // Thread safety: once the synonyms are registered the matcher is
+  // immutable, and MatchOne/MatchAll may run concurrently.
   EntityMatcher(const Hierarchy& hierarchy, EntityMatcherOptions options = {});
 
   // Registers `alias` as a synonym of every node labeled `node_label`
-  // (φ = 1). Returns the number of nodes the alias now points at.
+  // (φ = 1). Returns the number of nodes the alias now points at. Must
+  // precede the first Match* call (CHECK-enforced): ObjectBuilder stores
+  // each token's mappings when it first sees the token, and a later
+  // synonym would leave those stored mappings stale.
   int AddSynonym(std::string_view alias, std::string_view node_label);
 
   // K-Join mode: the single best mapping — exact label match first, then
@@ -76,16 +84,21 @@ class EntityMatcher {
 
   // Index of `normalized` in entries_, or -1.
   int32_t FindEntry(std::string_view normalized) const;
-  void EnsureApproxIndex() const;
+  // Marks the synonym table frozen (the first lookup does).
+  void Freeze() const;
 
   const Hierarchy* hierarchy_;
   EntityMatcherOptions options_;
   std::vector<LabelEntry> entries_;  // sorted by normalized label
   // alias (normalized) -> nodes; sorted by alias.
   std::vector<std::pair<std::string, std::vector<NodeId>>> synonyms_;
-  // Lazily built q-gram index over entries_ labels (mutable: built on
-  // first approximate lookup, after synonyms are registered).
-  mutable std::unique_ptr<QGramIndex> approx_index_;
+  // q-gram index over entries_ labels (ids are entries_ positions);
+  // null when approximate matching is off. Synonyms are exact-only, so
+  // it never needs rebuilding.
+  std::unique_ptr<const QGramIndex> approx_index_;
+  int longest_label_ = 0;  // over entries_, when approx_index_ is built
+  // Set by the first lookup; AddSynonym refuses to run afterwards.
+  mutable std::atomic<bool> frozen_{false};
 };
 
 }  // namespace kjoin

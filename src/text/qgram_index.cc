@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unordered_map>
+#include <tuple>
 
 #include "common/logging.h"
 #include "text/edit_distance.h"
@@ -13,12 +13,34 @@ namespace {
 constexpr char kLeftPad = '\x01';
 constexpr char kRightPad = '\x02';
 
-// gram -> multiplicity within one string.
-std::unordered_map<std::string, int32_t> GramMultiset(std::string_view text, int q) {
-  std::unordered_map<std::string, int32_t> multiset;
-  for (std::string& gram : QGramIndex::PaddedQGrams(text, q)) ++multiset[std::move(gram)];
-  return multiset;
+// The codes of `text`'s padded q-grams, one per gram (repeats kept), in
+// text order. A code is the gram's q bytes packed big-endian, so equal
+// grams and only equal grams share a code.
+void GramCodes(std::string_view text, int q, std::vector<uint64_t>* codes) {
+  codes->clear();
+  const size_t pad = static_cast<size_t>(q - 1);
+  const size_t padded = text.size() + 2 * pad;
+  if (padded < static_cast<size_t>(q)) return;
+  const uint64_t mask = q == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * q)) - 1;
+  uint64_t code = 0;
+  for (size_t p = 0; p < padded; ++p) {
+    const char c = p < pad ? kLeftPad : (p < pad + text.size() ? text[p - pad] : kRightPad);
+    code = ((code << 8) | static_cast<unsigned char>(c)) & mask;
+    if (p + 1 >= static_cast<size_t>(q)) codes->push_back(code);
+  }
 }
+
+// Per-thread lookup scratch, shared by every index the thread queries.
+// Invariant between calls: every counter is zero and `touched` is empty —
+// Candidates restores both as it drains, so a lookup never re-clears
+// memory it did not touch.
+struct CountScratch {
+  std::vector<int32_t> counts;  // shared-gram count per string id
+  std::vector<int32_t> touched;  // ids with a non-zero count
+  std::vector<uint64_t> codes;   // the query's gram codes
+};
+
+thread_local CountScratch tls_count_scratch;
 
 }  // namespace
 
@@ -38,29 +60,32 @@ std::vector<std::string> QGramIndex::PaddedQGrams(std::string_view text, int q) 
 
 QGramIndex::QGramIndex(std::vector<std::string> strings, int q)
     : q_(q), strings_(std::move(strings)) {
-  KJOIN_CHECK_GE(q, 1);
-  std::unordered_map<std::string, std::vector<std::pair<int32_t, int32_t>>> map;
+  KJOIN_CHECK(q >= 1 && q <= kMaxQ) << "q must be in [1, " << kMaxQ << "], got " << q;
+  // (code, string id, multiplicity), then grouped by code into CSR.
+  std::vector<std::tuple<uint64_t, int32_t, int32_t>> entries;
+  std::vector<uint64_t> codes;
   for (int32_t id = 0; id < static_cast<int32_t>(strings_.size()); ++id) {
-    for (const auto& [gram, mult] : GramMultiset(strings_[id], q_)) {
-      map[gram].emplace_back(id, mult);
+    GramCodes(strings_[id], q_, &codes);
+    std::sort(codes.begin(), codes.end());
+    for (size_t i = 0; i < codes.size();) {
+      size_t j = i;
+      while (j < codes.size() && codes[j] == codes[i]) ++j;
+      entries.emplace_back(codes[i], id, static_cast<int32_t>(j - i));
+      i = j;
     }
   }
-  postings_.reserve(map.size());
-  for (auto& [gram, ids] : map) {
-    std::sort(ids.begin(), ids.end());
-    postings_.emplace_back(gram, std::move(ids));
+  std::sort(entries.begin(), entries.end());
+  posting_ids_.reserve(entries.size());
+  posting_counts_.reserve(entries.size());
+  for (const auto& [code, id, count] : entries) {
+    if (gram_codes_.empty() || gram_codes_.back() != code) {
+      gram_codes_.push_back(code);
+      offsets_.push_back(static_cast<int32_t>(posting_ids_.size()));
+    }
+    posting_ids_.push_back(id);
+    posting_counts_.push_back(count);
   }
-  std::sort(postings_.begin(), postings_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-}
-
-const std::vector<std::pair<int32_t, int32_t>>* QGramIndex::Postings(
-    const std::string& gram) const {
-  auto it = std::lower_bound(
-      postings_.begin(), postings_.end(), gram,
-      [](const auto& entry, const std::string& key) { return entry.first < key; });
-  if (it == postings_.end() || it->first != gram) return nullptr;
-  return &it->second;
+  offsets_.push_back(static_cast<int32_t>(posting_ids_.size()));
 }
 
 std::vector<int32_t> QGramIndex::Candidates(std::string_view query, int max_errors) const {
@@ -79,19 +104,40 @@ std::vector<int32_t> QGramIndex::Candidates(std::string_view query, int max_erro
     return result;
   }
 
-  // Exact multiset q-gram intersection sizes via merged postings.
-  std::unordered_map<int32_t, int32_t> common;
-  for (const auto& [gram, query_mult] : GramMultiset(query, q_)) {
-    const auto* ids = Postings(gram);
-    if (ids == nullptr) continue;
-    for (const auto& [id, mult] : *ids) common[id] += std::min(query_mult, mult);
+  // Exact multiset q-gram intersection sizes, counted over the postings
+  // of each distinct query gram.
+  CountScratch& scratch = tls_count_scratch;
+  if (scratch.counts.size() < strings_.size()) scratch.counts.resize(strings_.size(), 0);
+  GramCodes(query, q_, &scratch.codes);
+  std::sort(scratch.codes.begin(), scratch.codes.end());
+  for (size_t i = 0; i < scratch.codes.size();) {
+    const uint64_t code = scratch.codes[i];
+    size_t j = i;
+    while (j < scratch.codes.size() && scratch.codes[j] == code) ++j;
+    const auto query_count = static_cast<int32_t>(j - i);
+    i = j;
+    const auto it = std::lower_bound(gram_codes_.begin(), gram_codes_.end(), code);
+    if (it == gram_codes_.end() || *it != code) continue;
+    const size_t gram = static_cast<size_t>(it - gram_codes_.begin());
+    for (int32_t p = offsets_[gram]; p < offsets_[gram + 1]; ++p) {
+      const int32_t id = posting_ids_[static_cast<size_t>(p)];
+      int32_t& count = scratch.counts[static_cast<size_t>(id)];
+      if (count == 0) scratch.touched.push_back(id);
+      count += std::min(query_count, posting_counts_[static_cast<size_t>(p)]);
+    }
   }
-  for (const auto& [id, overlap] : common) {
+  // Length filter, then the count threshold, which grows with the longer
+  // of the two strings; drain the counters back to zero on the way.
+  for (const int32_t id : scratch.touched) {
+    int32_t& count = scratch.counts[static_cast<size_t>(id)];
+    const int32_t overlap = count;
+    count = 0;
     const int cand_len = static_cast<int>(strings_[id].size());
     if (std::abs(cand_len - query_len) > max_errors) continue;
     const int required = std::max(cand_len, query_len) + q_ - 1 - q_ * max_errors;
     if (overlap >= required) result.push_back(id);
   }
+  scratch.touched.clear();
   std::sort(result.begin(), result.end());
   return result;
 }

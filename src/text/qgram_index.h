@@ -8,7 +8,15 @@
 // padded q-grams: the string is framed with q−1 sentinel characters on
 // each side, giving |s| + q − 1 grams, so the classic count filter
 //   ED(x, y) <= e  =>  |grams(x) ∩ grams(y)| >= max(|x|,|y|) + q − 1 − q·e
-// holds for strings of any length >= 1.
+// holds for strings of any length >= 1 (∩ is the multiset intersection:
+// a gram counts min(multiplicity in x, multiplicity in y) times).
+//
+// Grams are packed into integer codes (q <= 8 bytes per code) and the
+// postings are CSR arrays sorted by code. A lookup counts shared grams
+// ScanCount-style into a dense per-string counter plus a touched list,
+// both thread-local scratch reused across calls, so the hot path does no
+// hashing and no allocation beyond its result. The index is immutable
+// after construction; every method is safe to call concurrently.
 
 #include <cstdint>
 #include <string>
@@ -19,7 +27,10 @@ namespace kjoin {
 
 class QGramIndex {
  public:
-  // Indexes `strings` (ids are positions in the vector). q >= 1.
+  // Longest supported q: one gram must fit one 64-bit code.
+  static constexpr int kMaxQ = 8;
+
+  // Indexes `strings` (ids are positions in the vector). 1 <= q <= kMaxQ.
   QGramIndex(std::vector<std::string> strings, int q = 2);
 
   int q() const { return q_; }
@@ -27,7 +38,8 @@ class QGramIndex {
   const std::string& string_at(int32_t id) const { return strings_[id]; }
 
   // Ids of indexed strings whose edit distance to `query` *may* be
-  // <= max_errors (count filter + length filter; no verification).
+  // <= max_errors (count filter + length filter; no verification), in
+  // ascending order.
   std::vector<int32_t> Candidates(std::string_view query, int max_errors) const;
 
   // Candidates verified with the banded edit-distance algorithm; every
@@ -40,10 +52,13 @@ class QGramIndex {
  private:
   int q_;
   std::vector<std::string> strings_;
-  // gram -> sorted (string id, gram multiplicity) pairs; vector sorted by
-  // gram for binary search.
-  std::vector<std::pair<std::string, std::vector<std::pair<int32_t, int32_t>>>> postings_;
-  const std::vector<std::pair<int32_t, int32_t>>* Postings(const std::string& gram) const;
+  // Distinct gram codes, ascending; gram g's postings are
+  // posting_ids_/posting_counts_[offsets_[g], offsets_[g + 1]): the
+  // strings holding it (ascending id) and its multiplicity in each.
+  std::vector<uint64_t> gram_codes_;
+  std::vector<int32_t> offsets_;
+  std::vector<int32_t> posting_ids_;
+  std::vector<int32_t> posting_counts_;
 };
 
 }  // namespace kjoin

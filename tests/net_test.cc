@@ -20,10 +20,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -32,9 +35,13 @@
 
 #include "common/fault_injection.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/element_similarity.h"
+#include "core/object_similarity.h"
 #include "data/benchmark_suite.h"
+#include "hierarchy/lca.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -684,6 +691,186 @@ TEST(NetServerTest, ClientRecoversAfterServerDies) {
   StatusOr<NetResponse> revived = client.Health();
   ASSERT_TRUE(revived.ok()) << revived.status().ToString();
   EXPECT_EQ(revived->code, 0u);
+}
+
+// ------------------------------------------------- read-only query build
+
+// Reads resolve tokens without interning: random known, typo'd and
+// never-seen tokens over KJNP must leave the dictionary as it was.
+TEST(NetServerTest, TenThousandSearchesLeaveTheTokenTableUnchanged) {
+  auto stack = MakeServer();
+  const ObjectBuilder& builder = *Stack().prepared.builder;
+  const std::vector<std::string> before = builder.TokenTable();
+  KJoinClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack->server->port()).ok());
+  Rng rng(99);
+  constexpr int kSearches = 10000;
+  constexpr int kWindow = 32;  // pipelined, within the per-connection cap
+  std::mutex mu;
+  std::condition_variable cv;
+  int outstanding = 0;
+  int failures = 0;
+  for (int i = 0; i < kSearches; ++i) {
+    NetRequest request;
+    request.kind = i % 2 == 0 ? RequestKind::kSearch : RequestKind::kTopK;
+    request.top_k = 3;
+    const int num_tokens = 1 + static_cast<int>(rng.NextUint64(6));
+    for (int t = 0; t < num_tokens; ++t) {
+      std::string token = before[rng.NextUint64(before.size())];
+      const uint64_t kind = rng.NextUint64(3);
+      if (kind == 1) {
+        token[rng.NextUint64(token.size())] = static_cast<char>('a' + rng.NextUint64(26));
+      } else if (kind == 2) {
+        token.clear();
+        const int len = 2 + static_cast<int>(rng.NextUint64(9));
+        for (int c = 0; c < len; ++c) token += static_cast<char>('a' + rng.NextUint64(26));
+      }
+      request.query_tokens.push_back(std::move(token));
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return outstanding < kWindow; });
+      ++outstanding;
+    }
+    client.CallAsync(std::move(request), [&](StatusOr<NetResponse> got) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!got.ok() || got->code != 0) ++failures;
+      --outstanding;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return outstanding == 0; });
+  }
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(builder.TokenTable(), before);
+}
+
+// Every object with SIMδ >= τ by exact (Hungarian) object similarity,
+// with no SimCache anywhere on the path.
+std::vector<SearchHit> BruteForceSearch(const Object& query,
+                                        const std::vector<Object>& collection) {
+  const KJoinOptions options = Options();
+  const LcaIndex lca(*Stack().hierarchy);
+  const ElementSimilarity element_sim(lca, options.element_metric);
+  const ObjectSimilarity object_sim(element_sim, options.delta, options.set_metric);
+  std::vector<SearchHit> hits;
+  for (size_t i = 0; i < collection.size(); ++i) {
+    const double similarity = object_sim.Similarity(query, collection[i]);
+    if (similarity >= options.tau - 1e-9) {
+      hits.push_back({static_cast<int32_t>(i), similarity});
+    }
+  }
+  return hits;
+}
+
+// A served answer against the brute force: the same objects with the
+// same similarity (1e-9), except that ones within 1e-9 of τ may fall
+// either way.
+void ExpectMatchesBruteForce(const std::vector<SearchHit>& got,
+                             const std::vector<SearchHit>& expected, const std::string& what) {
+  const double tau = Options().tau;
+  for (const SearchHit& want : expected) {
+    bool found = false;
+    for (const SearchHit& hit : got) {
+      if (hit.object_index != want.object_index) continue;
+      found = true;
+      EXPECT_NEAR(hit.similarity, want.similarity, 1e-9) << what << " object " << hit.object_index;
+    }
+    if (want.similarity >= tau + 1e-9) EXPECT_TRUE(found) << what << " missed " << want.object_index;
+  }
+  for (const SearchHit& hit : got) {
+    bool expected_hit = false;
+    for (const SearchHit& want : expected) expected_hit |= want.object_index == hit.object_index;
+    EXPECT_TRUE(expected_hit) << what << " returned object " << hit.object_index
+                              << " below τ by brute force";
+  }
+}
+
+// Sim-cache poisoning regression. Novel query tokens take per-query
+// ephemeral ids, so two queries' different novel tokens can carry the
+// same id; a token-keyed SimCache entry from the first would answer for
+// the second. Delta layers share their base's cache, so the entry
+// survives the insert in between.
+TEST(NetServerTest, NovelTokenSearchesMatchBruteForceAcrossAnInsert) {
+  auto stack = MakeServer();
+  const ObjectBuilder& builder = *Stack().prepared.builder;
+  // A record holding a long mapped token L; typos of L at different edit
+  // distances map to L's node with different φ.
+  const std::vector<Record>& records = Stack().dataset.records;
+  size_t record = 0, position = 0;
+  std::string label;
+  for (size_t r = 0; r < records.size() && label.empty(); ++r) {
+    for (size_t t = 0; t < records[r].tokens.size(); ++t) {
+      const std::string& token = records[r].tokens[t];
+      const Object probe = builder.BuildQuery(0, {token});
+      if (token.size() >= 10 && probe.size() == 1 && IsInternedTokenId(probe.elements[0].token_id) &&
+          probe.elements[0].has_node()) {
+        record = r;
+        position = t;
+        label = token;
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(label.empty()) << "no record holds a mapped token of 10+ characters";
+  auto typo = [&](std::initializer_list<size_t> at) {
+    std::string out = label;
+    for (size_t i : at) out[i] = out[i] == 'q' ? 'x' : 'q';
+    return out;
+  };
+  const std::string t1 = typo({1});
+  const std::string t2 = typo({7});
+  const std::string t3 = typo({1, 4});
+  for (const std::string& token : {t1, t2, t3}) {
+    ASSERT_LT(builder.TokenId(token), 0) << token;
+    ASSERT_TRUE(builder.BuildQuery(0, {token}).elements[0].has_node()) << token;
+  }
+  auto with = [&](const std::string& token) {
+    std::vector<std::string> tokens = records[record].tokens;
+    tokens[position] = token;
+    return tokens;
+  };
+  KJoinClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack->server->port()).ok());
+  std::vector<Object> collection = Stack().prepared.objects;
+  auto check = [&](const std::string& token) {
+    const std::vector<std::string> tokens = with(token);
+    StatusOr<NetResponse> got = client.Search(tokens);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->code, 0u) << got->message;
+    bool found_record = false;
+    for (const SearchHit& hit : got->hits) found_record |= hit.object_index == record;
+    EXPECT_TRUE(found_record) << "query with " << token << " did not verify its record";
+    ExpectMatchesBruteForce(got->hits, BruteForceSearch(builder.BuildQuery(0, tokens), collection),
+                            "query with " + token);
+  };
+
+  check(t1);  // t1 under an ephemeral id
+
+  // The insert interns t2 and publishes a delta layer.
+  const int64_t before = stack->manager->num_objects();
+  StatusOr<NetResponse> inserted = client.Insert({{9100, with(t2)}});
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  ASSERT_EQ(inserted->code, 0u) << inserted->message;
+  collection.push_back(builder.BuildQuery(0, with(t2)));
+  ASSERT_GE(builder.TokenId(t2), 0);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool visible = false;
+  while (!visible && std::chrono::steady_clock::now() < deadline) {
+    StatusOr<NetResponse> found = client.Search(with(t2));
+    ASSERT_TRUE(found.ok());
+    for (const SearchHit& hit : found->hits) visible |= hit.object_index == before;
+    if (!visible) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(visible) << "inserted object never became searchable";
+
+  check(t3);  // a different token under the same ephemeral id as t1 had
+  check(t2);  // interned by the insert
+  check(t1);
+  EXPECT_LT(builder.TokenId(t1), 0);
+  EXPECT_LT(builder.TokenId(t3), 0);
 }
 
 // --------------------------------------------------------------- chaos

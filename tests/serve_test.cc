@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -23,11 +24,14 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/rng.h"
 #include "core/kjoin_index.h"
 #include "data/benchmark_suite.h"
 #include "serve/index_manager.h"
 #include "serve/search_service.h"
 #include "serve/snapshot.h"
+#include "serve/wire_format.h"
+#include "text/tokenizer.h"
 
 namespace kjoin {
 namespace {
@@ -84,6 +88,184 @@ std::vector<Object> MakeQueries(ObjectBuilder* builder, int count) {
     queries.push_back(builder->Build(-1, tokens));
   }
   return queries;
+}
+
+// ---------------------------------------------------- query build
+
+// Every byte of a built object: tokens, ids, nodes and φ bits.
+std::string ObjectBytes(const Object& object) {
+  serve::wire::ByteWriter w;
+  w.I32(object.id);
+  w.U32(static_cast<uint32_t>(object.elements.size()));
+  for (const Element& element : object.elements) {
+    w.Str(element.token);
+    w.I32(element.token_id);
+    w.U32(static_cast<uint32_t>(element.mappings.size()));
+    for (const ElementMapping& mapping : element.mappings) {
+      w.I32(mapping.node);
+      w.F64(mapping.phi);
+    }
+  }
+  return w.Take();
+}
+
+// Dataset records as they are, with one token typo'd, with an unseen
+// token, and with that unseen token twice.
+std::vector<std::vector<std::string>> QueryTokenLists(int count, uint64_t seed) {
+  const Dataset& dataset = Stack().dataset;
+  Rng rng(seed);
+  std::vector<std::vector<std::string>> lists;
+  for (int q = 0; q < count; ++q) {
+    std::vector<std::string> tokens = dataset.records[(q * 31) % dataset.records.size()].tokens;
+    if (tokens.empty()) continue;
+    std::string& victim = tokens[rng.NextUint64(tokens.size())];
+    switch (q % 4) {
+      case 1:
+        victim[rng.NextUint64(victim.size())] = static_cast<char>('a' + rng.NextUint64(26));
+        break;
+      case 2:
+        tokens.push_back("unseen" + std::to_string(q));
+        break;
+      case 3: {
+        const std::string unseen = "zz" + victim;
+        tokens.push_back(unseen);
+        tokens.push_back(unseen);
+        break;
+      }
+    }
+    lists.push_back(std::move(tokens));
+  }
+  return lists;
+}
+
+// A builder restored from a snapshot's token table answers from stored
+// mappings exactly as the builder that wrote the table: same ids, same
+// ephemeral numbering, same mappings to the bit — on the read path and,
+// interning the same new tokens in the same order, on the write path.
+TEST(QueryBuildTest, RestoredBuilderBuildsByteIdenticalQueries) {
+  ServeStack& stack = Stack();
+  // The fixture's builder as it was when the snapshot was written (other
+  // tests intern into the shared one since).
+  PreparedObjects live = BuildObjects(*stack.hierarchy, stack.dataset,
+                                      /*multi_mapping=*/true, /*min_phi=*/0.8);
+  auto loaded = serve::LoadIndexSnapshotFromBytes(stack.bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->tokens, live.builder->TokenTable());
+  serve::QueryPipeline restored = serve::MakeQueryPipeline(*loaded);
+  int novel = 0;
+  for (const std::vector<std::string>& tokens : QueryTokenLists(80, 5)) {
+    const Object query = live.builder->BuildQuery(7, tokens);
+    for (const Element& element : query.elements) novel += !IsInternedTokenId(element.token_id);
+    EXPECT_EQ(ObjectBytes(restored.builder->BuildQuery(7, tokens)), ObjectBytes(query));
+  }
+  EXPECT_GT(novel, 0);  // the ephemeral path ran
+  for (const std::vector<std::string>& tokens : QueryTokenLists(80, 6)) {
+    EXPECT_EQ(ObjectBytes(restored.builder->Build(3, tokens)),
+              ObjectBytes(live.builder->Build(3, tokens)));
+  }
+  EXPECT_EQ(restored.builder->TokenTable(), live.builder->TokenTable());
+}
+
+// The read-only build on four threads while a writer interns new tokens
+// (tsan preset): every element carries the matcher's mappings for its
+// token, ids are consistent within a query, and every interned id a
+// reader saw names its token in the final table.
+TEST(QueryBuildTest, ReadOnlyBuildsRunBesideAWriter) {
+  ServeStack& stack = Stack();
+  ObjectBuilder builder(*stack.prepared.builder);  // private: the writer extends it
+  const std::vector<std::vector<std::string>> writes = QueryTokenLists(160, 7);
+  std::vector<std::vector<std::string>> reads = QueryTokenLists(160, 8);
+  reads.insert(reads.end(), writes.begin(), writes.end());  // race the interning
+
+  // Reference mappings, from the (thread-safe) matcher directly.
+  const Tokenizer tokenizer;
+  std::map<std::string, std::vector<ElementMapping>> reference;
+  for (const std::vector<std::string>& tokens : reads) {  // holds `writes` too
+    for (const std::string& raw : tokens) {
+      const std::string token = tokenizer.Normalize(raw);
+      if (token.empty() || reference.count(token) > 0) continue;
+      std::vector<ElementMapping>& mappings = reference[token];
+      for (const EntityMatch& match : stack.prepared.matcher->MatchAll(token)) {
+        mappings.push_back({match.node, match.phi});
+      }
+    }
+  }
+
+  constexpr int kReaders = 4;
+  std::atomic<bool> start{false};
+  std::atomic<int> violations{0};
+  std::vector<std::vector<std::pair<int32_t, std::string>>> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      while (!start.load()) std::this_thread::yield();
+      for (size_t q = static_cast<size_t>(t); q < reads.size(); q += 2) {
+        const Object query = builder.BuildQuery(0, reads[q]);
+        std::map<std::string, int32_t> ids;
+        std::set<int32_t> ephemeral;
+        for (const Element& element : query.elements) {
+          if (element.mappings != reference.at(element.token)) violations.fetch_add(1);
+          auto [it, fresh] = ids.emplace(element.token, element.token_id);
+          if (it->second != element.token_id) violations.fetch_add(1);
+          if (IsInternedTokenId(element.token_id)) {
+            seen[static_cast<size_t>(t)].emplace_back(element.token_id, element.token);
+          } else if (fresh && (element.token_id < kFirstEphemeralTokenId ||
+                               !ephemeral.insert(element.token_id).second)) {
+            violations.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  start.store(true);
+  for (size_t w = 0; w < writes.size(); ++w) builder.Build(static_cast<int32_t>(w), writes[w]);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(violations.load(), 0);
+  const std::vector<std::string> table = builder.TokenTable();
+  for (const auto& pairs : seen) {
+    for (const auto& [id, token] : pairs) {
+      ASSERT_LT(static_cast<size_t>(id), table.size());
+      EXPECT_EQ(table[static_cast<size_t>(id)], token);
+    }
+  }
+  for (const std::vector<std::string>& tokens : writes) {
+    for (const Element& element : builder.BuildQuery(0, tokens).elements) {
+      EXPECT_TRUE(IsInternedTokenId(element.token_id)) << element.token;
+    }
+  }
+}
+
+// A delta chain verifies through its base's SimCache and answers exactly
+// like one flat index over the same objects and tombstones.
+TEST(QueryBuildTest, DeltaLayersShareTheBaseCacheAndMatchAFlatRebuild) {
+  ServeStack& stack = Stack();
+  const KJoinOptions options = stack.index->options();
+  const std::vector<Object>& objects = stack.prepared.objects;
+  const std::vector<Object> head(objects.begin(), objects.begin() + 200);
+  auto base = std::make_shared<const KJoinIndex>(*stack.hierarchy, options, head);
+  auto first = std::make_shared<KJoinIndex>(base);
+  for (size_t i = 200; i < 220; ++i) first->Insert(objects[i]);
+  auto second = std::make_shared<KJoinIndex>(std::shared_ptr<const KJoinIndex>(first));
+  for (size_t i = 220; i < objects.size(); ++i) second->Insert(objects[i]);
+  second->DeleteObject(5);
+  second->DeleteObject(210);
+  ASSERT_NE(base->sim_cache(), nullptr);
+  EXPECT_EQ(first->sim_cache(), base->sim_cache());
+  EXPECT_EQ(second->sim_cache(), base->sim_cache());
+
+  KJoinIndex flat(*stack.hierarchy, options, objects);
+  flat.DeleteObject(5);
+  flat.DeleteObject(210);
+  int64_t total_hits = 0;
+  for (const std::vector<std::string>& tokens : QueryTokenLists(60, 9)) {
+    const Object query = stack.prepared.builder->BuildQuery(-1, tokens);
+    const std::vector<SearchHit> expected = flat.Search(query);
+    EXPECT_EQ(second->Search(query), expected);
+    EXPECT_EQ(second->SearchTopK(query, 3, options.tau), flat.SearchTopK(query, 3, options.tau));
+    total_hits += static_cast<int64_t>(expected.size());
+  }
+  EXPECT_GT(total_hits, 0);
 }
 
 // ----------------------------------------------------- byte surgery

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "hierarchy/dag.h"
@@ -15,6 +19,12 @@
 #include "text/tokenizer.h"
 
 namespace kjoin {
+
+// Readable failure output for match lists.
+void PrintTo(const EntityMatch& match, std::ostream* os) {
+  *os << "{node " << match.node << ", phi " << match.phi << "}";
+}
+
 namespace {
 
 TEST(EditDistanceTest, BasicCases) {
@@ -174,6 +184,50 @@ TEST(QGramIndexTest, NeverMissesWithinBudget) {
   }
 }
 
+// A seeded random string over `alphabet`; small alphabets make repeated
+// grams common.
+std::string RandomString(Rng* rng, int min_len, int max_len, std::string_view alphabet) {
+  const int len = min_len + static_cast<int>(rng->NextUint64(max_len - min_len + 1));
+  std::string out;
+  for (int k = 0; k < len; ++k) out += alphabet[rng->NextUint64(alphabet.size())];
+  return out;
+}
+
+TEST(QGramIndexTest, CandidatesAndSearchMatchEditDistanceScan) {
+  // Differential: Candidates must contain every string within the budget
+  // (ascending), and SearchWithinDistance must equal a plain EditDistance
+  // scan. Dictionaries of different sizes share the thread-local counter
+  // scratch, so a counter left dirty by one lookup would surface here.
+  Rng rng(2024);
+  int vacuous = 0, counted = 0;
+  for (int q = 1; q <= 3; ++q) {
+    std::vector<std::string> dictionary;
+    for (int i = 0; i < 60 + 50 * q; ++i) dictionary.push_back(RandomString(&rng, 0, 9, "abc"));
+    const QGramIndex index(dictionary, q);
+    for (int trial = 0; trial < 80; ++trial) {
+      const std::string query = RandomString(&rng, 0, 10, "abc");
+      for (int budget = 0; budget <= 3; ++budget) {
+        const int bound = static_cast<int>(query.size()) + q - 1 - q * budget;
+        ++(bound <= 0 ? vacuous : counted);
+        std::vector<int32_t> within;
+        for (int32_t id = 0; id < static_cast<int32_t>(dictionary.size()); ++id) {
+          if (EditDistance(query, dictionary[id]) <= budget) within.push_back(id);
+        }
+        const std::vector<int32_t> candidates = index.Candidates(query, budget);
+        ASSERT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
+        ASSERT_TRUE(
+            std::includes(candidates.begin(), candidates.end(), within.begin(), within.end()))
+            << "q=" << q << " query '" << query << "' budget " << budget;
+        ASSERT_EQ(index.SearchWithinDistance(query, budget), within)
+            << "q=" << q << " query '" << query << "' budget " << budget;
+      }
+    }
+  }
+  // Both the vacuous-count-bound fallback and the counting path ran.
+  EXPECT_GT(vacuous, 0);
+  EXPECT_GT(counted, 0);
+}
+
 class EntityMatcherTest : public testing::Test {
  protected:
   EntityMatcherTest() : tree_(MakeFigure1Hierarchy()) {}
@@ -269,6 +323,83 @@ TEST_F(EntityMatcherTest, MaxMatchesCapRespected) {
   options.max_matches = 2;
   const EntityMatcher matcher(tree_, options);
   EXPECT_LE(matcher.MatchAll("pizza").size(), 2u);
+}
+
+// The K-Join+ mapping by definition: every node whose label equals the
+// token or is a registered alias of it (φ = 1), and every node whose label
+// has EditSimilarity φ >= min_phi to it; φ descending, then node id,
+// cut at max_matches. Labels and tokens here are already normalized.
+std::vector<EntityMatch> MatchAllByScan(
+    const Hierarchy& tree, const std::vector<std::pair<std::string, std::string>>& synonyms,
+    const std::string& token, const EntityMatcherOptions& options) {
+  std::vector<EntityMatch> matches;
+  auto add = [&](NodeId node, double phi) {
+    for (EntityMatch& existing : matches) {
+      if (existing.node == node) {
+        existing.phi = std::max(existing.phi, phi);
+        return;
+      }
+    }
+    matches.push_back({node, phi});
+  };
+  for (NodeId v = 1; v < tree.num_nodes(); ++v) {
+    const std::string& label = tree.label(v);
+    if (label == token) {
+      add(v, 1.0);
+    } else if (options.enable_approximate) {
+      const double phi = EditSimilarity(token, label);
+      if (phi >= options.min_phi) add(v, phi);
+    }
+    for (const auto& [alias, target] : synonyms) {
+      if (alias == token && target == label) add(v, 1.0);
+    }
+  }
+  std::sort(matches.begin(), matches.end(), [](const EntityMatch& a, const EntityMatch& b) {
+    if (a.phi != b.phi) return a.phi > b.phi;
+    return a.node < b.node;
+  });
+  if (static_cast<int>(matches.size()) > options.max_matches) {
+    matches.resize(options.max_matches);
+  }
+  return matches;
+}
+
+TEST(EntityMatcherScanTest, MatchAllEqualsLabelScan) {
+  // Random trees whose labels repeat (ambiguous nodes) and differ by
+  // few edits, queried with labels, near-labels and aliases, across the
+  // φ floors and match caps the pipelines use.
+  Rng rng(4242);
+  for (int tree_index = 0; tree_index < 6; ++tree_index) {
+    std::vector<NodeId> parents = {kInvalidNode};
+    std::vector<std::string> labels = {"root"};
+    for (int v = 1; v < 120; ++v) {
+      parents.push_back(static_cast<NodeId>(rng.NextUint64(static_cast<uint64_t>(v))));
+      labels.push_back(RandomString(&rng, 1, 10, "abcd"));
+    }
+    const Hierarchy tree(parents, labels);
+    std::vector<std::pair<std::string, std::string>> synonyms;
+    for (int k = 0; k < 5; ++k) {
+      synonyms.emplace_back(RandomString(&rng, 3, 8, "abcd"), labels[1 + rng.NextUint64(119)]);
+    }
+    for (const double min_phi : {0.5, 0.6, 0.75, 0.8, 0.9}) {
+      for (const int max_matches : {2, 8}) {
+        EntityMatcherOptions options;
+        options.min_phi = min_phi;
+        options.max_matches = max_matches;
+        EntityMatcher matcher(tree, options);
+        for (const auto& [alias, label] : synonyms) matcher.AddSynonym(alias, label);
+        for (int trial = 0; trial < 40; ++trial) {
+          std::string token = trial % 4 == 0   ? labels[1 + rng.NextUint64(119)]
+                              : trial % 4 == 1 ? synonyms[rng.NextUint64(synonyms.size())].first
+                                               : RandomString(&rng, 1, 11, "abcd");
+          if (trial % 4 == 3 && !token.empty()) token.pop_back();  // a near-label
+          ASSERT_EQ(matcher.MatchAll(token), MatchAllByScan(tree, synonyms, token, options))
+              << "token '" << token << "' min_phi " << min_phi << " max_matches "
+              << max_matches;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
