@@ -9,9 +9,9 @@
 // 1/8/64 connections vs in-process, answers bit-identical). With --out
 // the serving sections are written as a JSON report that
 // scripts/run_bench.sh merges into the PR bench file
-// (scripts/compare_bench.py tracks the speedup, per-client QPS, delta
-// publish bytes, per-depth QPS + identity flags, and the network rows'
-// qps_vs_inprocess floor).
+// (scripts/compare_bench.py tracks per-client QPS, delta publish bytes,
+// per-depth QPS + identity flags, the sharded rows' same-run ratios, and
+// the network rows' qps_vs_inprocess floor).
 //
 //   ./bench_search [--n 20000] [--queries 2000]
 //                  [--serve_n 4000] [--serve_queries 240] [--out serving.json]
@@ -68,6 +68,16 @@ struct DeltaRow {
   bool results_identical = false;
 };
 
+// Threshold search at the index's τ: every hit, and its work counters.
+std::vector<kjoin::SearchHit> SearchAll(const kjoin::KJoinIndex& index,
+                                        const kjoin::Object& query,
+                                        kjoin::SearchStats* stats = nullptr) {
+  std::vector<kjoin::SearchHit> hits;
+  // Default options (floor τ, no deadline) cannot fail.
+  (void)index.Search(query, kjoin::SearchOptions{}, &hits, stats);
+  return hits;
+}
+
 int64_t PostingEntryBytes(const kjoin::KJoinIndex& index) {
   return index.posting_entries() * static_cast<int64_t>(sizeof(int32_t));
 }
@@ -103,8 +113,9 @@ int main(int argc, char** argv) {
     int64_t total_hits = 0;
     for (int64_t q = 0; q < *num_queries; ++q) {
       const kjoin::Object& query = prepared.objects[(q * 131) % prepared.objects.size()];
-      total_hits += static_cast<int64_t>(index.Search(query).size());
-      total_candidates += index.last_candidates();
+      kjoin::SearchStats stats;
+      total_hits += static_cast<int64_t>(SearchAll(index, query, &stats).size());
+      total_candidates += stats.candidates;
     }
     const double seconds = query_timer.ElapsedSeconds();
     PrintRow({Fmt(tau, 2), Fmt(build_seconds, 2),
@@ -381,7 +392,7 @@ int main(int argc, char** argv) {
     int64_t measured = 0;
     for (int64_t rep = 0; rep < depth_reps; ++rep) {
       for (const kjoin::serve::QueryRequest& request : requests) {
-        measured += static_cast<int64_t>(epoch->index->Search(request.query).size());
+        measured += static_cast<int64_t>(SearchAll(*epoch->index, request.query).size());
       }
     }
     (void)measured;
@@ -392,8 +403,8 @@ int main(int argc, char** argv) {
     const auto chained_epoch = chained.Acquire();
     const auto flat_epoch = flattened.Acquire();
     for (const kjoin::serve::QueryRequest& request : requests) {
-      if (chained_epoch->index->Search(request.query) !=
-          flat_epoch->index->Search(request.query)) {
+      if (SearchAll(*chained_epoch->index, request.query) !=
+          SearchAll(*flat_epoch->index, request.query)) {
         return false;
       }
     }
@@ -543,6 +554,8 @@ int main(int argc, char** argv) {
   kjoin::SearchStats prune_totals;
   double sharded_submit_qps = 0.0;
   double sharded_sync_qps = 0.0;
+  double ab_single_qps = 0.0;
+  double ab_router_qps = 0.0;
   for (int shards : {1, 2, 4, 8}) {
     kjoin::serve::ShardedIndexManager sharded(
         wp_hierarchy, shard_serve_options, wp_prepared.objects,
@@ -567,6 +580,23 @@ int main(int argc, char** argv) {
       PrintRow({std::to_string(shards), std::to_string(clients), Fmt(row.qps, 0),
                 Fmt(row.p50_ms, 3), Fmt(row.p99_ms, 3), JsonBool(row.results_identical)},
                12);
+    }
+    if (shards == 1) {
+      // Single index vs 1-shard router at 8 clients, alternating reps so
+      // machine drift lands on both sides (one 8-client pass is a
+      // fraction of a second). Both run the one search kernel, so the
+      // ratio isolates what the router itself costs.
+      constexpr int kRouterReps = 4;
+      for (int rep = 0; rep < kRouterReps; ++rep) {
+        ShardRow single_row;
+        ShardRow router_row;
+        run_clients([&](const kjoin::serve::QueryRequest& r) { return single_service.Search(r); },
+                    8, &single_row, nullptr);
+        run_clients([&](const kjoin::serve::QueryRequest& r) { return router.Search(r); }, 8,
+                    &router_row, nullptr);
+        ab_single_qps += single_row.qps;
+        ab_router_qps += router_row.qps;
+      }
     }
     if (shards == 8) {
       // Batching A/B at one client (alternating reps): the Submit
@@ -607,15 +637,19 @@ int main(int argc, char** argv) {
       sharded_submit_qps = batch_queries / std::max(submit_seconds, 1e-9);
     }
   }
-  const double single_8c_qps = baseline_rows.back().qps;
-  const ShardRow& sharded_8x8 = shard_rows.back();
-  const double sharded_speedup = sharded_8x8.qps / std::max(single_8c_qps, 1e-9);
+  // Same-run ratios at 8 clients: the single-index path must keep pace
+  // with the 1-shard router, and 8 shards over 1 is what sharding alone
+  // buys.
+  const double single_vs_router = ab_single_qps / std::max(ab_router_qps, 1e-9);
+  const double router_1x8_qps = shard_rows[1].qps;  // rows: shards {1,2,4,8} x clients {1,8}
+  const double shard_scaling = shard_rows.back().qps / std::max(router_1x8_qps, 1e-9);
   const double batching_overhead_pct =
       (sharded_sync_qps / std::max(sharded_submit_qps, 1e-9) - 1.0) * 100.0;
-  std::printf("8 shards / 8 clients: %.2fx the single-index path; bound tightened %lld "
-              "times, pruned %lld posting entries / %lld blocks, length-screened %lld "
-              "verifications across the runs\n",
-              sharded_speedup, static_cast<long long>(prune_totals.bound_tightenings),
+  std::printf("8 clients: single index %.2fx the 1-shard router, 8 shards %.2fx 1 shard; "
+              "bound tightened %lld times, pruned %lld posting entries / %lld blocks, "
+              "length-screened %lld verifications across the runs\n",
+              single_vs_router, shard_scaling,
+              static_cast<long long>(prune_totals.bound_tightenings),
               static_cast<long long>(prune_totals.bound_pruned_entries),
               static_cast<long long>(prune_totals.bound_pruned_blocks),
               static_cast<long long>(prune_totals.bound_skipped_verifies));
@@ -862,14 +896,16 @@ int main(int argc, char** argv) {
                    vs_single, JsonBool(row.results_identical).c_str());
     }
     std::fprintf(f,
-                 "\n    ],\n    \"speedup_8shard_8client\": %.3f,\n"
+                 "\n    ],\n    \"single_vs_router_8client\": %.3f,\n"
+                 "    \"shard_scaling_8shard_8client\": %.3f,\n"
                  "    \"tau_prune\": {\"bound_tightenings\": %lld, "
                  "\"bound_pruned_lists\": %lld, \"bound_pruned_entries\": %lld, "
                  "\"bound_pruned_blocks\": %lld, \"bound_raised_verifies\": %lld, "
                  "\"bound_skipped_verifies\": %lld},\n"
                  "    \"batching\": {\"shards\": 8, \"clients\": 1, \"sync_qps\": %.1f, "
                  "\"submit_qps\": %.1f, \"overhead_pct\": %.3f}\n  },\n",
-                 sharded_speedup, static_cast<long long>(prune_totals.bound_tightenings),
+                 single_vs_router, shard_scaling,
+                 static_cast<long long>(prune_totals.bound_tightenings),
                  static_cast<long long>(prune_totals.bound_pruned_lists),
                  static_cast<long long>(prune_totals.bound_pruned_entries),
                  static_cast<long long>(prune_totals.bound_pruned_blocks),

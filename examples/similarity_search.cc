@@ -102,11 +102,20 @@ int main(int argc, char** argv) {
     std::string text;
     for (const auto& t : tokens) text += t + " ";
     std::printf("query: %s\n", text.c_str());
-    // A loaded snapshot may have been built at a different tau; top-k
-    // cannot search below the index's configured threshold.
-    const auto hits = index->SearchTopK(query, 3, std::max(*tau, index->options().tau));
-    std::printf("  %lld candidates -> %zu hits\n",
-                static_cast<long long>(index->last_candidates()), hits.size());
+    // A loaded snapshot may have been built at a different tau; a search
+    // cannot go below the index's configured threshold.
+    kjoin::SearchOptions top3;
+    top3.k = 3;
+    top3.min_similarity = std::max(*tau, index->options().tau);
+    std::vector<kjoin::SearchHit> hits;
+    kjoin::SearchStats stats;
+    const kjoin::Status searched = index->Search(query, top3, &hits, &stats);
+    if (!searched.ok()) {
+      std::fprintf(stderr, "search failed: %s\n", searched.ToString().c_str());
+      return 1;
+    }
+    std::printf("  %lld candidates -> %zu hits\n", static_cast<long long>(stats.candidates),
+                hits.size());
     for (const kjoin::SearchHit& hit : hits) {
       std::string hit_text;
       for (const auto& t : data.dataset.records[hit.object_index].tokens) {

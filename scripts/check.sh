@@ -4,10 +4,11 @@
 # KJOIN_FAULT_INJECTION=1, so the resilience and serving suites'
 # fault-point tests run for real there instead of skipping; their ctest
 # filters keep the sanitizer passes to the threading/memory-sensitive
-# suites plus resilience_test, serve_test, wal_test, shard_test and
-# chaos_test (docs/robustness.md, docs/serving.md — snapshot byte
-# surgery under asan; the concurrent epoch-swap, search-service and
-# shard-router scatter-gather tests under tsan; the sharded chaos case
+# suites plus resilience_test, serve_test, wal_test, shard_test,
+# chaos_test, net_test and search_sweep_test (docs/robustness.md,
+# docs/serving.md — snapshot byte surgery under asan; the concurrent
+# epoch-swap, search-service and shard-router scatter-gather tests and
+# the search oracle sweep under tsan; the sharded chaos case
 # with one degraded shard, ShardChaosTest.DegradedShardKeepsServingReads,
 # runs under both).
 #
@@ -95,12 +96,14 @@ if [[ $run_no_simd -eq 1 ]]; then
   # Scalar-fallback pass: the same release binaries, with dispatch forced
   # to the scalar kernels before the first probe. Covers the suites that
   # exercise the filter engine (the simd_test identity sweeps assert the
-  # join results and JoinStats counters match the SIMD paths bit for bit).
+  # join results and JoinStats counters match the SIMD paths bit for bit;
+  # search_sweep_test checks every sampled search configuration against
+  # the brute-force oracle at the scalar ISA level).
   echo "==> [no-simd] release suites with KJOIN_FORCE_SCALAR=1"
   cmake -B "$repo/build" -S "$repo" >/dev/null
   cmake --build "$repo/build" -j "$(nproc)" >/dev/null
   (cd "$repo/build" && KJOIN_FORCE_SCALAR=1 ctest --output-on-failure \
-    -L '^(simd_test|core_test|kjoin_test|property_test|random_join_test|serve_test)$')
+    -L '^(simd_test|core_test|kjoin_test|property_test|random_join_test|serve_test|search_sweep_test)$')
   echo "no-simd pass green"
 fi
 

@@ -14,7 +14,17 @@
 //
 //   KJoinIndex index(tree, options, objects);
 //   index.Insert(more_objects[i]);
-//   std::vector<SearchHit> hits = index.Search(query);
+//   std::vector<SearchHit> hits;
+//   SearchOptions top3;
+//   top3.k = 3;
+//   Status status = index.Search(query, top3, &hits);
+//
+// Search is the one entry point. A search answer is every indexed object
+// with SIMδ >= a floor (τ unless the caller raises it); k > 0 keeps the
+// k best of them. Every search runs the same progressive kernel: one
+// query grouping plan per probe, verification at max(τ, bound - slack),
+// a length screen, and a prefix re-cut whenever the k-th-best bound
+// rises (see SearchBound).
 //
 // Delta layering (the serving write path): a KJoinIndex built over a
 // shared_ptr base stores only its own objects and postings; probes merge
@@ -25,9 +35,9 @@
 // object indexes are never reused, deleted entries are skipped at probe
 // time and dropped when the chain is flattened.
 //
-// Thread safety: Search and SearchTopK are safe for any number of
-// concurrent callers — every mutable state they touch (verifier scratch,
-// SimCache L1, the last_candidates observability slot) is per-thread, and
+// Thread safety: Search is safe for any number of concurrent callers —
+// every mutable state it touches (verifier and probe scratch, SimCache
+// L1) is per-thread, work counters go to the caller's SearchStats, and
 // concurrent results are identical to serial execution. Insert and
 // DeleteObject mutate the index and require external synchronization: no
 // Search may run concurrently with them (serve/index_manager.h never
@@ -58,7 +68,7 @@ struct SearchHit {
   friend bool operator==(const SearchHit&, const SearchHit&) = default;
 };
 
-// Hit ordering used by every search entry point, total so concurrent and
+// Hit ordering of every search answer, total so concurrent and
 // sharded executions re-rank reproducibly: similarity descending, then
 // object index ascending. (KOIOS-style progressive top-k and the serving
 // router's gather both rely on the order being a strict total order.)
@@ -79,7 +89,7 @@ inline bool HitBefore(const SearchHit& a, const SearchHit& b) {
 // so value() never exceeds the final k-th-best similarity. Probes prune
 // strictly below value() minus a float-safety slack, so ties survive and
 // the merged top-k is byte-identical to a single-index search (see
-// docs/serving.md, "Progressive τ contract").
+// docs/serving.md, "Scatter-gather with a shared progressive bound").
 //
 // Lock-free: similarities are non-negative IEEE doubles, whose bit
 // patterns order like the values, so the fetch-max is a CAS loop over one
@@ -121,10 +131,10 @@ class SearchBound {
   std::atomic<uint64_t> bits_;
 };
 
-// Per-call observability for the controlled Search overloads. The bound_*
-// counters are only touched by the progressive SearchTopK overload: they
-// record how often this probe advanced the shared bound and how much
-// probe/verify work the tightened bound let it skip.
+// Per-call observability for KJoinIndex::Search (overwritten by each
+// call). The bound_* counters record how often the probe advanced its
+// k-th-best bound and how much probe/verify work a bound above τ — a
+// raised floor, or a tightened top-k bound — let it skip.
 struct SearchStats {
   int64_t candidates = 0;
   // Tighten() calls that advanced the shared bound.
@@ -144,6 +154,25 @@ struct SearchStats {
   // bound demands is above that, VerifyAt could only reject.
   int64_t bound_skipped_verifies = 0;
   VerifyStats verify;
+
+  void Add(const SearchStats& other);
+};
+
+// One search request (KJoinIndex::Search).
+struct SearchOptions {
+  // > 0: the k best hits; <= 0: every hit at or above the floor.
+  int32_t k = 0;
+  // The similarity every hit must reach; < 0 means the index's τ. A
+  // floor below τ is rejected with kInvalidArgument: candidates are
+  // generated at τ, so the answer would silently miss objects.
+  double min_similarity = -1.0;
+  // Deadline and cancel token, polled between verifications. The
+  // byte-budget fields do not apply to a single probe and are ignored.
+  JoinControl control;
+  // Top-k only: a k-th-best bound shared with the other probes of one
+  // logical query (the scatter-gather router hands every shard the same
+  // one), seeded at the floor. Null = a bound local to this probe.
+  SearchBound* bound = nullptr;
 };
 
 class KJoinIndex {
@@ -188,59 +217,27 @@ class KJoinIndex {
   // in [0, num_indexed()). NOT safe to call concurrently with Search.
   bool DeleteObject(int32_t index);
 
-  // All indexed objects with SIMδ(query, object) >= τ, sorted by the
-  // documented total order (HitBefore: similarity descending, ties by
-  // ascending object index). The query must come from the same
-  // ObjectBuilder as the indexed collection.
-  std::vector<SearchHit> Search(const Object& query) const;
-
-  // The top-k most similar indexed objects with SIMδ >= min_similarity
-  // (which must be >= the index's τ), in HitBefore order; the total
-  // order makes the k-th cut reproducible even through similarity ties.
-  // k <= 0 returns everything.
-  std::vector<SearchHit> SearchTopK(const Object& query, int32_t k,
-                                    double min_similarity) const;
-
-  // Controlled entry points (serving path). With a default JoinControl
-  // they compute the same hits as the overloads above and return OK. The
-  // deadline and cancel token are polled between verifications; on a trip
-  // (kDeadlineExceeded / kCancelled) *hits holds the similar objects
-  // proven so far, sorted — and for SearchTopK still filtered to
-  // min_similarity and truncated to k. The byte-budget fields of JoinControl do not
-  // apply to a single-probe search and are ignored. Unlike SearchTopK —
-  // whose threshold violation is a programming error and CHECKs — the
-  // controlled variant treats min_similarity < τ as untrusted input and
-  // returns kInvalidArgument.
-  Status Search(const Object& query, const JoinControl& control,
+  // The indexed objects with SIMδ(query, object) >= the floor — all of
+  // them, or the k best — sorted by the documented total order
+  // (HitBefore: similarity descending, ties by ascending object index),
+  // which makes the k-th cut reproducible even through similarity ties.
+  // The query must come from the same ObjectBuilder as the indexed
+  // collection.
+  //
+  // Returns kInvalidArgument for a floor below τ, and kDeadlineExceeded /
+  // kCancelled when options.control trips; *hits then holds the hits
+  // proven so far, still filtered to the floor, cut to k and sorted.
+  //
+  // Progressive top-k: once the probe holds k hits it offers its running
+  // k-th best to the bound, and every probe sharing the bound skips work
+  // that can no longer place in the final top-k — posting lists past the
+  // prefix re-cut at the risen bound, and candidates whose sizes cannot
+  // reach it; the rest verify at max(τ, bound - slack). Pruning stays a
+  // float-safety slack below the bound, so hits tied with the final k-th
+  // best survive and the merged answer is byte-identical to a probe with
+  // no bound at all (see SearchBound).
+  Status Search(const Object& query, const SearchOptions& options,
                 std::vector<SearchHit>* hits, SearchStats* stats = nullptr) const;
-  Status SearchTopK(const Object& query, int32_t k, double min_similarity,
-                    const JoinControl& control, std::vector<SearchHit>* hits,
-                    SearchStats* stats = nullptr) const;
-
-  // Progressive top-k (the scatter-gather serving path). Identical hits
-  // to the overload above, but `bound` — a shared, monotonically-
-  // tightening similarity floor, possibly advanced concurrently by other
-  // probes of the same logical query — lets the probe skip work that can
-  // no longer place in the final top-k:
-  //  - the signature prefix is recomputed at the risen bound, so whole
-  //    posting lists (and their blocks) are never probed;
-  //  - candidates verify at max(τ, bound - slack), so the count-pruning
-  //    and adaptive bounds reject earlier;
-  //  - once this probe holds k hits it reports its running k-th best
-  //    back through Tighten().
-  // A null `bound` behaves exactly like the plain overload. Hits with
-  // similarity >= the final k-th best are never pruned (the slack keeps
-  // ties float-safe), so results — including tie-break order — match the
-  // non-progressive path byte for byte. The bound's floor should be the
-  // caller's min_similarity (lower floors are sound, just less pruned).
-  Status SearchTopK(const Object& query, int32_t k, double min_similarity,
-                    const JoinControl& control, SearchBound* bound,
-                    std::vector<SearchHit>* hits, SearchStats* stats = nullptr) const;
-
-  // Candidate count of the last Search executed by the calling thread
-  // (observability for benches; the slot is thread-local, shared by all
-  // indexes the thread searches).
-  static int64_t last_candidates();
 
   // Objects ever indexed across the chain, deleted ones included (object
   // indexes are stable, never compacted away while the chain lives).
@@ -338,27 +335,16 @@ class KJoinIndex {
   std::shared_ptr<const LcaIndex> shared_lca() const { return lca_; }
 
  private:
-  // Signature-prefix probe. With a non-null `bound`, the prefix length is
-  // re-derived from the bound's current value before each posting list;
-  // lists past the tightened prefix are skipped and accounted in `stats`
-  // (both may be null).
-  std::vector<int32_t> Candidates(const Object& query, SearchBound* bound,
+  // Signature-prefix probe. The prefix length is re-derived from the
+  // bound's current value before each posting list; lists past the
+  // tightened prefix are skipped and accounted in `stats` (may be null).
+  std::vector<int32_t> Candidates(const Object& query, const SearchBound& bound,
                                   SearchStats* stats) const;
-  std::vector<int32_t> Candidates(const Object& query) const {
-    return Candidates(query, nullptr, nullptr);
-  }
-  // The progressive verify loop behind the SearchBound overload: local
-  // top-k heap in HitBefore order, thresholds raised as `bound` tightens.
-  Status SearchTopKProgressive(const Object& query, int32_t k, double min_similarity,
-                               const JoinControl& control, SearchBound* bound,
-                               std::vector<SearchHit>* hits, SearchStats* stats) const;
   void IndexObject(int32_t index);
   // Moves the mutable tail into the frozen CSR store (only legal while
   // the store is empty — the flat build path).
   void FreezeTail();
   void CollectLayers(std::vector<const KJoinIndex*>* layers) const;
-  Status SearchControlled(const Object& query, const JoinControl& control,
-                          std::vector<SearchHit>* hits, SearchStats* stats) const;
 
   const Hierarchy* hierarchy_;
   KJoinOptions options_;

@@ -673,17 +673,6 @@ bool Verifier::Verify(const Object& x, const Object& y, VerifyStats* stats) cons
   return VerifyWithPlans(x, y, options_.tau, scratch.plan_x, scratch.plan_y, &scratch, stats);
 }
 
-bool Verifier::VerifyAt(const Object& x, const Object& y, double tau,
-                        VerifyStats* stats) const {
-  KJOIN_DCHECK(tau >= options_.tau)
-      << "VerifyAt threshold below the configured tau would be incomplete";
-  VerifyScratch& scratch = ThreadScratch();
-  const ScratchGuard guard(&scratch);
-  BuildPlan(x, &scratch.plan_x);
-  BuildPlan(y, &scratch.plan_y);
-  return VerifyWithPlans(x, y, tau, scratch.plan_x, scratch.plan_y, &scratch, stats);
-}
-
 bool Verifier::VerifyAt(const Object& x, const ObjectGroupPlan& plan_x, const Object& y,
                         double tau, VerifyStats* stats) const {
   KJOIN_DCHECK(tau >= options_.tau)

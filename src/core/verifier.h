@@ -99,18 +99,13 @@ class Verifier {
   bool Verify(const Object& x, const Object& y, VerifyStats* stats) const;
 
   // True iff SIMδ(x, y) >= tau, for a per-call threshold at or above the
-  // configured options().tau. The progressive top-k search raises its
-  // effective threshold mid-query as the shared k-th-best bound tightens
-  // (core/kjoin_index.h, SearchBound); a higher tau means a higher
-  // required overlap, so every pruning lemma stays sound and rejections
-  // come earlier.
-  bool VerifyAt(const Object& x, const Object& y, double tau, VerifyStats* stats) const;
-
-  // VerifyAt with x's grouping plan prebuilt (BuildPlan). The search
-  // probe loop verifies one query against a stream of candidates;
-  // building the query's plan once per probe instead of once per pair
-  // removes the dominant fixed cost of each verification. `tau` may
-  // equal the configured options().tau.
+  // configured options().tau, with x's grouping plan prebuilt
+  // (BuildPlan). The search probe loop verifies one query against a
+  // stream of candidates, so it builds the query's plan once per probe
+  // instead of once per pair; and it raises the threshold mid-query as
+  // its k-th-best bound tightens (core/kjoin_index.h, SearchBound) — a
+  // higher tau means a higher required overlap, so every pruning lemma
+  // stays sound and rejections come earlier.
   bool VerifyAt(const Object& x, const ObjectGroupPlan& plan_x, const Object& y,
                 double tau, VerifyStats* stats) const;
 

@@ -61,8 +61,8 @@ inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr uint64_t kDefaultMaxFrameBytes = 16ull << 20;
 
 enum class RequestKind : uint8_t {
-  kSearch = 1,   // threshold search: min_similarity + query tokens
-  kTopK = 2,     // top-k search: adds i32 k
+  kSearch = 1,   // threshold search: every hit >= min_similarity
+  kTopK = 2,     // top-k search: the k best hits >= min_similarity
   kInsert = 3,   // batch insert: records of {external id, tokens}
   kDelete = 4,   // delete by global object index
   kHealth = 5,   // manager health snapshot (text body)
@@ -82,7 +82,8 @@ struct NetRequest {
   RequestKind kind = RequestKind::kHealth;
   uint64_t deadline_ms = 0;  // 0 = no deadline
 
-  // kSearch / kTopK
+  // kSearch / kTopK. The floor applies to both kinds: < 0 = the index's
+  // tau; below tau is rejected with kInvalidArgument.
   double min_similarity = -1.0;
   int32_t top_k = 0;  // kTopK only
   std::vector<std::string> query_tokens;

@@ -60,20 +60,14 @@ QueryResponse SearchService::Execute(const QueryRequest& request,
   response.epoch_version = epoch->version;
   const KJoinIndex& index = *epoch->index;
 
-  JoinControl control;
-  control.deadline_seconds = EffectiveDeadline(request);
-  control.cancel_token = request.cancel_token;
-
-  if (request.top_k > 0) {
-    // < 0 is the "unset" sentinel; an explicit 0.0 must reach the index
-    // (which rejects floors below tau) instead of silently becoming tau.
-    const double min_similarity =
-        request.min_similarity < 0.0 ? index.options().tau : request.min_similarity;
-    response.status = index.SearchTopK(request.query, request.top_k, min_similarity, control,
-                                       &response.hits, &response.stats);
-  } else {
-    response.status = index.Search(request.query, control, &response.hits, &response.stats);
-  }
+  SearchOptions options;
+  options.k = request.top_k;
+  // < 0 is the "unset" sentinel (the index's tau); an explicit 0.0 must
+  // reach the index, which rejects floors below tau.
+  options.min_similarity = request.min_similarity;
+  options.control.deadline_seconds = EffectiveDeadline(request);
+  options.control.cancel_token = request.cancel_token;
+  response.status = index.Search(request.query, options, &response.hits, &response.stats);
   response.seconds = timer.ElapsedSeconds();
   admission_.NoteOutcome(IsDeadlineExceeded(response.status));
 

@@ -71,11 +71,11 @@ struct QueryRequest {
   // Must be built by a builder token-id-compatible with the indexed
   // collection (MakeQueryPipeline for snapshot-loaded stacks).
   Object query;
-  // > 0 = top-k search; 0 = all objects above the index's threshold.
+  // > 0 = top-k search; 0 = every object at or above min_similarity.
   int32_t top_k = 0;
-  // Top-k similarity floor; < 0 (the default) uses the index's
-  // configured tau. An explicit value — including 0.0 — is forwarded to
-  // the index, which validates it (values below tau return
+  // Similarity floor for both kinds of search; < 0 (the default) uses
+  // the index's configured tau. An explicit value — including 0.0 — is
+  // forwarded to the index, which validates it (values below tau return
   // kInvalidArgument). The sentinel mirrors deadline_seconds below.
   double min_similarity = -1.0;
   // Per-request deadline; < 0 = service default, 0 = explicitly none.

@@ -12,17 +12,6 @@
 namespace kjoin::serve {
 namespace {
 
-void AddStats(SearchStats* into, const SearchStats& other) {
-  into->candidates += other.candidates;
-  into->bound_tightenings += other.bound_tightenings;
-  into->bound_pruned_lists += other.bound_pruned_lists;
-  into->bound_pruned_entries += other.bound_pruned_entries;
-  into->bound_pruned_blocks += other.bound_pruned_blocks;
-  into->bound_raised_verifies += other.bound_raised_verifies;
-  into->bound_skipped_verifies += other.bound_skipped_verifies;
-  into->verify.Add(other.verify);
-}
-
 // Router-side progressive tightening. A single shard's probe only
 // offers its k-th best once IT holds k hits — with many shards no one
 // shard may ever get there. The router therefore merges the similarity
@@ -90,16 +79,13 @@ void LocalShard::ProbeBatch(const ShardQuery* queries, ShardReply* replies, int 
     const ShardQuery& q = queries[i];
     ShardReply& reply = replies[i];
     reply.epoch_version = epoch->version;
-    JoinControl control;
-    control.deadline_seconds = q.deadline_seconds;
-    control.cancel_token = q.cancel_token;
-    hits.clear();
-    if (q.top_k > 0) {
-      reply.status = index.SearchTopK(*q.query, q.top_k, q.min_similarity, control, q.bound,
-                                      &hits, &reply.stats);
-    } else {
-      reply.status = index.Search(*q.query, control, &hits, &reply.stats);
-    }
+    SearchOptions options;
+    options.k = q.top_k;
+    options.min_similarity = q.min_similarity;
+    options.control.deadline_seconds = q.deadline_seconds;
+    options.control.cancel_token = q.cancel_token;
+    options.bound = q.bound;
+    reply.status = index.Search(*q.query, options, &hits, &reply.stats);
     reply.hits.clear();
     reply.hits.reserve(hits.size());
     for (const SearchHit& hit : hits) {
@@ -167,7 +153,7 @@ void ShardRouter::Gather(const ShardReply* const* replies, int32_t top_k,
       response->status = reply.status;
     }
     response->epoch_version = std::max(response->epoch_version, reply.epoch_version);
-    AddStats(&response->stats, reply.stats);
+    response->stats.Add(reply.stats);
     if (metrics_ != nullptr) {
       metrics_->counter(ShardMetricName("router", s, "probes"))->Increment();
       metrics_->counter(ShardMetricName("router", s, "hits"))

@@ -39,11 +39,12 @@ ShardedIndexManager::ShardedIndexManager(
 }
 
 std::shared_ptr<const std::vector<int32_t>> ShardedIndexManager::GlobalIndexes(int s) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(map_mu_);
   return to_global_[static_cast<size_t>(s)];
 }
 
 Status ShardedIndexManager::AttachWal(const std::string& path_prefix, bool fsync) {
+  std::lock_guard<std::mutex> write(write_mu_);
   for (int s = 0; s < num_shards(); ++s) {
     KJOIN_RETURN_IF_ERROR(
         shards_[static_cast<size_t>(s)]->AttachWal(
@@ -79,7 +80,7 @@ Status ShardedIndexManager::AttachWal(const std::string& path_prefix, bool fsync
           "the shard set (see docs/serving.md); recover from a snapshot");
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(map_mu_);
   for (int s = 0; s < num_shards(); ++s) {
     to_global_[static_cast<size_t>(s)] = std::make_shared<const std::vector<int32_t>>(
         std::move(globals[static_cast<size_t>(s)]));
@@ -104,7 +105,7 @@ Status ShardedIndexManager::InsertBatch(std::vector<Object> objects,
                               " is degraded read-only; retry after it heals");
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> write(write_mu_);
   const int64_t n = static_cast<int64_t>(objects.size());
   std::vector<std::vector<Object>> parts(static_cast<size_t>(num_shards()));
   std::vector<std::vector<int32_t>> added(static_cast<size_t>(num_shards()));
@@ -119,7 +120,8 @@ Status ShardedIndexManager::InsertBatch(std::vector<Object> objects,
   // epoch inside InsertBatch, and a concurrent gatherer that acquires
   // that epoch must already find the mapping covering it. The mapping
   // being a superset of the published state is always safe — a local
-  // index the shard never accepted simply never appears in a hit.
+  // index the shard never accepted simply never appears in a hit. The
+  // copy is built under write_mu_ alone; map_mu_ covers the swap.
   for (int s = 0; s < num_shards(); ++s) {
     if (added[static_cast<size_t>(s)].empty()) continue;
     const std::vector<int32_t>& old = *to_global_[static_cast<size_t>(s)];
@@ -128,6 +130,7 @@ Status ShardedIndexManager::InsertBatch(std::vector<Object> objects,
     next->insert(next->end(), old.begin(), old.end());
     next->insert(next->end(), added[static_cast<size_t>(s)].begin(),
                  added[static_cast<size_t>(s)].end());
+    std::lock_guard<std::mutex> lock(map_mu_);
     to_global_[static_cast<size_t>(s)] = std::move(next);
   }
   Status result = OkStatus();
@@ -142,7 +145,10 @@ Status ShardedIndexManager::InsertBatch(std::vector<Object> objects,
     // fail reconstruction on recovery (documented limitation).
     if (result.ok() && !status.ok()) result = status;
   }
-  next_global_ += n;
+  {
+    std::lock_guard<std::mutex> lock(map_mu_);
+    next_global_ += n;
+  }
   if (metrics_ != nullptr) {
     metrics_->gauge("sharded.num_objects")->Set(next_global_);
     if (!result.ok()) metrics_->counter("sharded.partial_insert_failures")->Increment();
@@ -153,7 +159,7 @@ Status ShardedIndexManager::InsertBatch(std::vector<Object> objects,
 Status ShardedIndexManager::DeleteObjects(std::vector<int32_t> global_indexes) {
   std::vector<std::vector<int32_t>> per_shard(static_cast<size_t>(num_shards()));
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(map_mu_);
     for (int32_t g : global_indexes) {
       if (g < 0 || g >= next_global_) {
         return InvalidArgumentError("DeleteObjects: global index " + std::to_string(g) +
@@ -187,7 +193,7 @@ void ShardedIndexManager::Flush() {
 }
 
 int64_t ShardedIndexManager::num_objects() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(map_mu_);
   return next_global_;
 }
 

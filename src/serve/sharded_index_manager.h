@@ -124,12 +124,17 @@ class ShardedIndexManager {
   std::vector<std::unique_ptr<IndexManager>> shards_;
   MetricsRegistry* metrics_;
 
-  // Write-path state. to_global_ is copy-on-write (readers copy the
-  // shared_ptr under mu_, writers publish a new vector), so gatherers
-  // translating hits never block an insert.
-  mutable std::mutex mu_;
-  int64_t next_global_ = 0;  // guarded by mu_
-  std::vector<std::shared_ptr<const std::vector<int32_t>>> to_global_;  // guarded by mu_
+  // Two locks, so gatherers translating hits never wait behind a write.
+  // write_mu_ serializes the writers that assign global indexes
+  // (InsertBatch, AttachWal) and is held across the shards' WAL appends
+  // and fsyncs. map_mu_ publishes the numbering and is held only to copy
+  // or swap it: to_global_ is copy-on-write (readers copy a shared_ptr,
+  // writers publish a new vector). Both fields below are written under
+  // both locks, so either one suffices to read them.
+  std::mutex write_mu_;
+  mutable std::mutex map_mu_;
+  int64_t next_global_ = 0;
+  std::vector<std::shared_ptr<const std::vector<int32_t>>> to_global_;
 };
 
 }  // namespace kjoin::serve

@@ -673,11 +673,11 @@ void RunChaosTrial(uint64_t trial) {
         // Reads must never crash or error structurally, fault storm or
         // not — at worst they trip their deadline.
         const auto epoch = manager->Acquire();
-        JoinControl control;
-        control.deadline_seconds = 0.05;
+        SearchOptions options;
+        options.control.deadline_seconds = 0.05;
         std::vector<SearchHit> hits;
         SearchStats stats;
-        const Status searched = epoch->index->Search(MakeQuery(SplitMix(&rng)), control,
+        const Status searched = epoch->index->Search(MakeQuery(SplitMix(&rng)), options,
                                                      &hits, &stats);
         ASSERT_TRUE(searched.ok() || IsDeadlineExceeded(searched)) << searched.ToString();
       } else {
@@ -719,10 +719,9 @@ void RunChaosTrial(uint64_t trial) {
 
   // Recovered stacks must serve immediately.
   const auto epoch = (*recovered)->Acquire();
-  JoinControl control;
   std::vector<SearchHit> hits;
   SearchStats stats;
-  ASSERT_TRUE(epoch->index->Search(MakeQuery(trial), control, &hits, &stats).ok());
+  ASSERT_TRUE(epoch->index->Search(MakeQuery(trial), SearchOptions{}, &hits, &stats).ok());
 
   recovered->reset();
   RemoveTree(dir);

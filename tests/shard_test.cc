@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -28,6 +31,7 @@
 #include "data/benchmark_suite.h"
 #include "serve/shard_router.h"
 #include "serve/sharded_index_manager.h"
+#include "search_test_util.h"
 
 namespace kjoin {
 namespace {
@@ -158,10 +162,9 @@ TEST(ShardPlacementTest, MappingTablesPartitionTheCollection) {
 
 // ------------------------------------------- determinism contract
 
-// The tentpole contract: Search and SearchTopK through the router are
-// byte-identical to the single unsharded index — same hits, same
-// similarities, same tie-break order — at every shard count and pool
-// width.
+// Threshold and top-k searches through the router are byte-identical
+// to the single unsharded index — same hits, same similarities, same
+// tie-break order — at every shard count and pool width.
 TEST(ShardDeterminismTest, IdenticalToSingleIndexAcrossShardsAndThreads) {
   const std::vector<Object> queries = MakeQueries(40);
   const KJoinIndex& reference = *Stack().reference;
@@ -178,16 +181,64 @@ TEST(ShardDeterminismTest, IdenticalToSingleIndexAcrossShardsAndThreads) {
         request.query = queries[q];
         serve::QueryResponse response = stack.router->Search(request);
         ASSERT_TRUE(response.status.ok()) << where << ": " << response.status.ToString();
-        ExpectHitsIdentical(reference.Search(queries[q]), response.hits,
+        ExpectHitsIdentical(SearchHits(reference, queries[q]), response.hits,
                             where + " threshold");
         // Top-k (k chosen to cut through the result set).
         request.top_k = 5;
         response = stack.router->Search(request);
         ASSERT_TRUE(response.status.ok()) << where << ": " << response.status.ToString();
-        ExpectHitsIdentical(reference.SearchTopK(queries[q], 5, Options().tau),
+        ExpectHitsIdentical(SearchHits(reference, queries[q], 5, Options().tau),
                             response.hits, where + " top-k");
       }
     }
+  }
+}
+
+// ------------------------------------------------- threshold floor
+
+// The similarity floor filters threshold searches too: a top_k = 0
+// request at 0.9 on the τ = 0.6 collection returns exactly the objects
+// the brute force scores at or above 0.9, and a floor below τ is refused
+// for both kinds, through the synchronous and the batched path.
+TEST(ThresholdFloorTest, FloorFiltersThresholdSearchesAndSubTauIsRejected) {
+  ThreadPool pool(2);
+  RouterStack stack = MakeRouter(2, &pool);
+  const std::vector<Object> queries = MakeQueries(30);
+  const LcaIndex lca(*Stack().hierarchy);
+  const ElementSimilarity element(lca);
+  const ObjectSimilarity similarity(element, Options().delta, Options().set_metric);
+  constexpr double kFloor = 0.9;
+  std::vector<serve::QueryRequest> requests;
+  for (const Object& query : queries) {
+    serve::QueryRequest request;
+    request.query = query;
+    request.min_similarity = kFloor;
+    requests.push_back(std::move(request));
+  }
+  const std::vector<serve::QueryResponse> batched = stack.router->SearchBatch(requests);
+  int64_t hits = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<SearchHit> scored =
+        ScoreAll(similarity, queries[q], Stack().prepared.objects);
+    const serve::QueryResponse response = stack.router->Search(requests[q]);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    ASSERT_TRUE(batched[q].status.ok()) << batched[q].status.ToString();
+    for (const SearchHit& hit : response.hits) EXPECT_GE(hit.similarity, kFloor - 1e-9);
+    EXPECT_EQ(CheckAgainstOracle(response.hits, scored, 0, kFloor), "") << "query " << q;
+    EXPECT_EQ(CheckAgainstOracle(batched[q].hits, scored, 0, kFloor), "") << "query " << q;
+    hits += static_cast<int64_t>(response.hits.size());
+  }
+  EXPECT_GT(hits, 0);
+
+  for (const int32_t top_k : {0, 3}) {
+    serve::QueryRequest request = requests[0];
+    request.top_k = top_k;
+    request.min_similarity = 0.3;
+    const serve::QueryResponse response = stack.router->Search(request);
+    EXPECT_TRUE(IsInvalidArgument(response.status)) << response.status.ToString();
+    EXPECT_TRUE(response.hits.empty());
+    const std::vector<serve::QueryResponse> submitted = stack.router->SearchBatch({request});
+    EXPECT_TRUE(IsInvalidArgument(submitted[0].status)) << submitted[0].status.ToString();
   }
 }
 
@@ -204,7 +255,7 @@ TEST(TopKTieBreakTest, TiedSimilaritiesBreakByAscendingObjectIndex) {
   KJoinIndex index(*stack.hierarchy, Options(), objects);
 
   const Object& query = stack.prepared.objects[0];
-  const std::vector<SearchHit> top = index.SearchTopK(query, 4, Options().tau);
+  const std::vector<SearchHit> top = SearchHits(index, query, 4, Options().tau);
   ASSERT_EQ(top.size(), 4u);
   // The six copies tie at the maximum similarity; the cut keeps the four
   // lowest object indexes, in ascending order.
@@ -213,7 +264,7 @@ TEST(TopKTieBreakTest, TiedSimilaritiesBreakByAscendingObjectIndex) {
     EXPECT_EQ(top[i].similarity, top[0].similarity);
   }
   // The full result set is in the documented total order.
-  const std::vector<SearchHit> all = index.Search(query);
+  const std::vector<SearchHit> all = SearchHits(index, query);
   ASSERT_GE(all.size(), 6u);
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_TRUE(HitBefore(all[i - 1], all[i]) || !HitBefore(all[i], all[i - 1]));
@@ -396,6 +447,130 @@ TEST(ShardWalTest, MissingShardLogFailsReconstructionAsDataLoss) {
   }
 }
 
+// ------------------------------------------------------- concurrency
+
+// Reads next to fsynced sharded inserts: readers probe both shards
+// through LocalShard (epoch, then numbering) while a writer lands WAL'd,
+// fsynced batches, and every reply equals the brute-force answer over
+// the epoch it ran against. Runs under the tsan preset, which checks the
+// numbering's publication lock against the writer's.
+TEST(ShardConcurrencyTest, ProbesDuringFsyncedInsertsMatchTheirEpoch) {
+  const std::string prefix = testing::TempDir() + "/shard_test_concurrent.wal";
+  constexpr int kShards = 2;
+  for (int s = 0; s < kShards; ++s) {
+    std::remove((prefix + ".shard-" + std::to_string(s)).c_str());
+  }
+  ShardStack& data = Stack();
+  serve::IndexManagerOptions manager_options;
+  manager_options.max_delta_layers = 1 << 20;  // one new epoch per batch
+  // No pool: every shard publishes its part inside InsertBatch.
+  serve::ShardedIndexManager manager(data.hierarchy, Options(), data.prepared.objects,
+                                     data.prepared.builder->TokenTable(),
+                                     data.dataset.synonyms, kShards, /*pool=*/nullptr,
+                                     /*metrics=*/nullptr, manager_options);
+  ASSERT_TRUE(manager.AttachWal(prefix, /*fsync=*/true).ok());
+  std::vector<std::unique_ptr<serve::LocalShard>> backends;
+  for (int s = 0; s < kShards; ++s) {
+    backends.push_back(std::make_unique<serve::LocalShard>(&manager, s));
+  }
+
+  constexpr int kBatches = 6;
+  constexpr int kPerBatch = 4;
+  std::vector<Object> collection = data.prepared.objects;  // global order
+  std::vector<std::vector<Object>> batches(kBatches);
+  for (int b = 0; b < kBatches; ++b) {
+    for (int i = 0; i < kPerBatch; ++i) {
+      batches[b].push_back(data.prepared.objects[(b * kPerBatch + i) * 7 % kRecords]);
+      collection.push_back(batches[b].back());
+    }
+  }
+  // (shard, epoch version) -> objects the shard held at that epoch.
+  std::mutex epochs_mu;
+  std::map<std::pair<int, int64_t>, int64_t> epoch_sizes;
+  auto record_epochs = [&] {
+    std::lock_guard<std::mutex> lock(epochs_mu);
+    for (int s = 0; s < kShards; ++s) {
+      const auto epoch = manager.shard(s)->Acquire();
+      epoch_sizes[{s, epoch->version}] = epoch->index->num_indexed();
+    }
+  };
+  record_epochs();
+
+  struct Observed {
+    int shard = 0;
+    size_t query = 0;
+    int32_t top_k = 0;
+    serve::ShardReply reply;
+  };
+  const std::vector<Object> queries = MakeQueries(6);
+  std::atomic<bool> writing{true};
+  std::vector<std::vector<Observed>> observed(2);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      // At least one full pass, then keep probing until the writer ends.
+      for (bool first = true; first || writing.load(); first = false) {
+        for (int s = 0; s < kShards; ++s) {
+          for (size_t q = 0; q < queries.size(); ++q) {
+            Observed o;
+            o.shard = s;
+            o.query = q;
+            o.top_k = (q + r) % 2 == 0 ? 0 : 3;
+            serve::ShardQuery query;
+            query.query = &queries[q];
+            query.top_k = o.top_k;
+            query.min_similarity = Options().tau;
+            backends[s]->ProbeBatch(&query, &o.reply, 1);
+            observed[r].push_back(std::move(o));
+          }
+        }
+      }
+    });
+  }
+  for (int b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE(manager.InsertBatch(batches[b]).ok());
+    record_epochs();
+  }
+  writing.store(false);
+  for (std::thread& reader : readers) reader.join();
+
+  const LcaIndex lca(*data.hierarchy);
+  const ElementSimilarity element(lca);
+  const ObjectSimilarity similarity(element, Options().delta, Options().set_metric);
+  std::vector<std::vector<SearchHit>> scores;
+  for (const Object& query : queries) scores.push_back(ScoreAll(similarity, query, collection));
+  std::vector<std::shared_ptr<const std::vector<int32_t>>> to_global;
+  for (int s = 0; s < kShards; ++s) to_global.push_back(manager.GlobalIndexes(s));
+  int64_t checked = 0;
+  for (const std::vector<Observed>& per_reader : observed) {
+    for (const Observed& o : per_reader) {
+      ASSERT_TRUE(o.reply.status.ok()) << o.reply.status.ToString();
+      const auto size = epoch_sizes.find({o.shard, o.reply.epoch_version});
+      ASSERT_NE(size, epoch_sizes.end()) << "unrecorded epoch " << o.reply.epoch_version;
+      // The shard's objects at that epoch: the first `size` entries of
+      // its (append-only) numbering.
+      const std::vector<int32_t>& table = *to_global[static_cast<size_t>(o.shard)];
+      std::vector<bool> held(collection.size(), false);
+      for (int64_t local = 0; local < size->second; ++local) held[table[local]] = true;
+      std::vector<SearchHit> scored;
+      for (const SearchHit& hit : scores[o.query]) {
+        if (held[hit.object_index]) scored.push_back(hit);
+      }
+      std::vector<SearchHit> got;
+      for (const serve::ShardHit& hit : o.reply.hits) {
+        got.push_back({hit.global_index, hit.similarity});
+      }
+      EXPECT_EQ(CheckAgainstOracle(got, scored, o.top_k, Options().tau), "")
+          << "shard " << o.shard << " epoch " << o.reply.epoch_version << " query " << o.query;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+  for (int s = 0; s < kShards; ++s) {
+    std::remove((prefix + ".shard-" + std::to_string(s)).c_str());
+  }
+}
+
 // ------------------------------------------------------- chaos
 
 // One shard's WAL goes bad and trips degraded read-only mode; the router
@@ -439,7 +614,7 @@ TEST(ShardChaosTest, DegradedShardKeepsServingReads) {
       request.top_k = 5;
       const serve::QueryResponse response = stack.router->Search(request);
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      ExpectHitsIdentical(reference.SearchTopK(query, 5, Options().tau), response.hits,
+      ExpectHitsIdentical(SearchHits(reference, query, 5, Options().tau), response.hits,
                           "degraded read");
     }
   }

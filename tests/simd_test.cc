@@ -24,6 +24,7 @@
 #include "core/posting_store.h"
 #include "core/simd.h"
 #include "data/benchmark_suite.h"
+#include "search_test_util.h"
 
 namespace kjoin {
 namespace {
@@ -407,11 +408,11 @@ TEST_F(SimdDispatchTest, IndexSearchIdenticalAtEveryLevelAndAfterInserts) {
 
   std::vector<std::vector<SearchHit>> baseline;
   simd::SetActiveLevelForTest(IsaLevel::kScalar);
-  for (size_t q = 0; q < 40; ++q) baseline.push_back(index.Search(prepared.objects[q]));
+  for (size_t q = 0; q < 40; ++q) baseline.push_back(SearchHits(index, prepared.objects[q]));
   for (IsaLevel level : SupportedLevels()) {
     simd::SetActiveLevelForTest(level);
     for (size_t q = 0; q < 40; ++q) {
-      EXPECT_EQ(index.Search(prepared.objects[q]), baseline[q])
+      EXPECT_EQ(SearchHits(index, prepared.objects[q]), baseline[q])
           << simd::IsaLevelName(level) << " query=" << q;
     }
   }

@@ -28,6 +28,7 @@
 #include "serve/index_manager.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
+#include "search_test_util.h"
 
 namespace kjoin {
 namespace {
@@ -489,9 +490,9 @@ TEST(WalRecoveryTest, KillAndReplayReachesByteIdenticalState) {
   EXPECT_EQ(rec->index->num_live(), live->index->num_live());
   EXPECT_EQ(StateBytes(**recovered), live_bytes);
   for (const Object& query : queries) {
-    EXPECT_EQ(rec->index->Search(query), live->index->Search(query));
-    EXPECT_EQ(rec->index->SearchTopK(query, 3, 0.6),
-              live->index->SearchTopK(query, 3, 0.6));
+    EXPECT_EQ(SearchHits(*rec->index, query), SearchHits(*live->index, query));
+    EXPECT_EQ(SearchHits(*rec->index, query, 3, 0.6),
+              SearchHits(*live->index, query, 3, 0.6));
   }
   // The deleted objects stay deleted and the replacement is live.
   EXPECT_TRUE(rec->index->deleted(2));
@@ -642,7 +643,7 @@ TEST(CompactionTest, DeepChainFoldsToFlatBaseWithIdenticalAnswers) {
   EXPECT_EQ(compacted->index->num_indexed(), chained->index->num_indexed());
   EXPECT_EQ(compacted->index->num_live(), chained->index->num_live());
   for (const Object& query : MakeQueries(16)) {
-    EXPECT_EQ(compacted->index->Search(query), chained->index->Search(query));
+    EXPECT_EQ(SearchHits(*compacted->index, query), SearchHits(*chained->index, query));
   }
 }
 
